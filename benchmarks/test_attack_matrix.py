@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from conftest import run_once
-from repro.experiments import matrix
+from repro.experiments import matrix, runner
 
 SCHEMES = ["unprotected", "encryption_only", "obfusmem", "oram_ring"]
 ATTACKS = ["dictionary", "fingerprint", "type_recovery", "rebuild_timing"]
@@ -30,7 +30,7 @@ _runs: dict[str, object] = {}
 
 
 def _run_matrix():
-    matrix.clear_memory()
+    runner.clear_cache()
     matrix.capture_workload.cache_clear()
     started = time.perf_counter()
     result = matrix.run(schemes=SCHEMES, attacks=ATTACKS, workloads=WORKLOADS)

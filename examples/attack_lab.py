@@ -13,11 +13,10 @@ Demonstrates, with real cryptography and wire traffic:
     python examples/attack_lab.py
 """
 
-from repro.analysis.attacks import (
-    EcbAddressObfuscation,
+from repro.attacks.dictionary import EcbAddressObfuscation, dictionary_attack
+from repro.attacks.tamper import (
     command_bitflip_attack,
     data_tamper_attack,
-    dictionary_attack,
     injection_attack,
     message_drop_attack,
     replay_attack,

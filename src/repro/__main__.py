@@ -158,7 +158,7 @@ def _cmd_experiment_shortcut(args: argparse.Namespace) -> None:
 
 
 def _cmd_attacks(args: argparse.Namespace) -> None:
-    from repro.analysis.attacks import (
+    from repro.attacks.tamper import (
         command_bitflip_attack,
         data_tamper_attack,
         injection_attack,

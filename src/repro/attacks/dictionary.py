@@ -4,10 +4,9 @@ This is the paper's argument for counter mode: a *deterministic* address
 encryption (the ECB strawman, HIDE's table permutation, or no encryption
 at all) preserves access frequencies, so ranking wire encodings by count
 and pairing them with the hottest plaintext addresses recovers the hot
-set.  The primitives (:class:`EcbAddressObfuscation`,
-:func:`dictionary_attack`) moved here from ``repro.analysis.attacks``,
-which keeps thin re-export shims; :class:`DictionaryAttacker` wraps them
-as a registry attacker scored per capture in the leakage matrix.
+set.  The primitives are :class:`EcbAddressObfuscation` and
+:func:`dictionary_attack`; :class:`DictionaryAttacker` wraps them as a
+registry attacker scored per capture in the leakage matrix.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Active wire-tampering attacks (§3.5), registry edition.
 
-The scenario harnesses moved here from ``repro.analysis.attacks`` (which
-keeps re-export shims): each wires a scripted interceptor into the
-functional ObfusMem stack and reports whether the tampering was detected.
-New here is :func:`address_flip_attack` — the CTR-malleability forgery
+Each scenario harness wires a scripted interceptor into the functional
+ObfusMem stack and reports whether the tampering was detected.
+:func:`address_flip_attack` is the CTR-malleability forgery
 that separates authenticated from unauthenticated encryption: flipping an
 *address* byte of an encrypted command flips the same plaintext bit, the
 type byte still decodes, and without a MAC the memory silently executes

@@ -42,12 +42,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CheckpointError
-from repro.experiments.executor import (
-    CACHE_SCHEMA_VERSION,
-    DEFAULT_CACHE_DIR,
-    JobSpec,
-    JsonFileCache,
-)
+from repro.experiments.executor import CACHE_SCHEMA_VERSION, JobSpec, JsonFileCache
 from repro.system.simulator import RunResult
 from repro.system.world import SimCheckpoint, SimWorld
 
@@ -366,10 +361,3 @@ def checkpointed_jobs(
         for spec in specs
     ]
     return _checkpointed_job, items
-
-
-def default_checkpoint_store(
-    directory: str | Path = DEFAULT_CACHE_DIR, max_bytes: int | None = None
-) -> CheckpointStore:
-    """A store on the conventional cache directory (shared LRU budget)."""
-    return CheckpointStore(directory, max_bytes=max_bytes)

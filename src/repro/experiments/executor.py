@@ -8,10 +8,11 @@ layer that grid rides on:
   (benchmark, protection level, machine config, request count, seed,
   cores).  Two specs that are equal by value share one cache identity,
   no matter which process built them.
-* :class:`ResultCache` — a content-addressed store of
-  :class:`~repro.system.simulator.RunResult` JSON files under a directory
-  (``.repro-cache/`` by convention), so regenerating any table or figure
-  is a cache hit *across processes*, not just within one.
+* :class:`ResultCache` — a content-addressed store of job results as
+  JSON files under a directory (``.repro-cache/`` by convention), so
+  regenerating any table or figure is a cache hit *across processes*, not
+  just within one.  Its docstring defines the job protocol that
+  :class:`JobSpec` and the attack matrix's cell specs follow.
 * :class:`ParallelRunner` — fans a list of jobs out over
   ``multiprocessing`` workers (``fork`` start method), collects results in
   job order, and records a :class:`RunManifest` of what ran, which cache
@@ -44,7 +45,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import threading
 import time
 import typing
 from dataclasses import dataclass, field
@@ -104,6 +104,38 @@ def _jsonable(value):
     raise ConfigurationError(f"cannot serialize {type(value).__name__} in a job spec")
 
 
+def content_digest(payload: dict) -> str:
+    """sha256 of ``payload``'s canonical JSON: a job's content address."""
+    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def result_to_jsonable(result: RunResult) -> dict:
+    """A ``RunResult`` as a JSON-ready dict (enums become their values)."""
+    return {
+        "benchmark": result.benchmark,
+        "level": scheme_name_of(result.level),
+        "channels": result.channels,
+        "execution_time_ns": result.execution_time_ns,
+        "num_requests": result.num_requests,
+        "instructions": result.instructions,
+        "stats": dict(result.stats),
+    }
+
+
+def result_from_jsonable(payload: dict) -> RunResult:
+    """Rebuild a ``RunResult`` from :func:`result_to_jsonable` output."""
+    return RunResult(
+        benchmark=payload["benchmark"],
+        level=level_for(payload["level"]) or str(payload["level"]),
+        channels=int(payload["channels"]),
+        execution_time_ns=float(payload["execution_time_ns"]),
+        num_requests=int(payload["num_requests"]),
+        instructions=float(payload["instructions"]),
+        stats={str(k): float(v) for k, v in payload["stats"].items()},
+    )
+
+
 @dataclass(frozen=True)
 class JobSpec:
     """One simulation job: everything :func:`repro.system.run_benchmark` needs.
@@ -130,15 +162,22 @@ class JobSpec:
             )
         resolve_scheme(self.level)  # unknown schemes fail fast, with a hint
 
+    #: The :class:`ResultCache` codec for this job's :class:`RunResult`.
+    encode_result = staticmethod(result_to_jsonable)
+    decode_result = staticmethod(result_from_jsonable)
+
+    @property
+    def schema(self) -> int:
+        """Cache schema token, read from :data:`CACHE_SCHEMA_VERSION` per call."""
+        return CACHE_SCHEMA_VERSION
+
     def to_jsonable(self) -> dict:
         """The full job spec as a canonical JSON-ready dict."""
         return _jsonable(self)
 
     def digest(self) -> str:
         """Content hash of the spec plus the cache schema version."""
-        payload = {"schema": CACHE_SCHEMA_VERSION, "spec": self.to_jsonable()}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest({"schema": self.schema, "spec": self.to_jsonable()})
 
     def prefix_digest(self) -> str:
         """Content hash of everything but ``num_requests``.
@@ -151,9 +190,7 @@ class JobSpec:
         """
         prefix = self.to_jsonable()
         del prefix["num_requests"]
-        payload = {"schema": CACHE_SCHEMA_VERSION, "prefix": prefix}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest({"schema": self.schema, "prefix": prefix})
 
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (the result is not cached).
@@ -250,32 +287,6 @@ def sweep_specs(
     ]
 
 
-def result_to_jsonable(result: RunResult) -> dict:
-    """A ``RunResult`` as a JSON-ready dict (enums become their values)."""
-    return {
-        "benchmark": result.benchmark,
-        "level": scheme_name_of(result.level),
-        "channels": result.channels,
-        "execution_time_ns": result.execution_time_ns,
-        "num_requests": result.num_requests,
-        "instructions": result.instructions,
-        "stats": dict(result.stats),
-    }
-
-
-def result_from_jsonable(payload: dict) -> RunResult:
-    """Rebuild a ``RunResult`` from :func:`result_to_jsonable` output."""
-    return RunResult(
-        benchmark=payload["benchmark"],
-        level=level_for(payload["level"]) or str(payload["level"]),
-        channels=int(payload["channels"]),
-        execution_time_ns=float(payload["execution_time_ns"]),
-        num_requests=int(payload["num_requests"]),
-        instructions=float(payload["instructions"]),
-        stats={str(k): float(v) for k, v in payload["stats"].items()},
-    )
-
-
 def _value_from_hint(hint, value):
     """Rebuild one field value from its JSON form, guided by its type hint."""
     if dataclasses.is_dataclass(hint) and isinstance(hint, type):
@@ -362,7 +373,7 @@ def spec_from_jsonable(payload: dict) -> JobSpec:
 class JsonFileCache:
     """Shared machinery for content-addressed JSON stores under one directory.
 
-    Concrete caches — :class:`ResultCache` for simulation results, and
+    Concrete caches — :class:`ResultCache` for job results, and
     :class:`repro.experiments.trace_cache.TraceCache` for front-end traces
     — provide the entry naming and payload validation; this base owns the
     durable parts: tolerant reads (damage degrades to a miss), atomic
@@ -514,41 +525,58 @@ class JsonFileCache:
 
 
 class ResultCache(JsonFileCache):
-    """Content-addressed persistent store of simulation results.
+    """Content-addressed persistent store of job results.
+
+    The store serves any *job*.  A job is a frozen, hashable spec with:
+
+    * ``digest()`` — its content address: a hash of ``schema`` and
+      ``to_jsonable()``, and the entry's file name;
+    * ``to_jsonable()`` — the canonical JSON form of the spec;
+    * ``execute()`` — computes the result (the runner calls it on a miss);
+    * ``schema`` — a version token, read at call time, that every entry
+      records; bumping it orphans (never corrupts) old entries;
+    * ``encode_result(result)`` / ``decode_result(payload)`` — the codec
+      between a result and the entry's JSON.
+
+    :class:`JobSpec` (simulations) and
+    :class:`~repro.experiments.matrix.AttackCellSpec` (attack-matrix cells)
+    are the two jobs; both also carry the manifest fields :class:`JobRecord`
+    reads (``benchmark``, ``level``, ``machine``, ``cores``,
+    ``num_requests``, ``seed``).
 
     One JSON file per job digest under ``directory``.  Every entry embeds
-    the schema version and the full spec it was computed from, so a load
+    the schema token and the full spec it was computed from, so a load
     only succeeds when both match — hash collisions, stale schema versions
     and corrupted files all degrade to a cache miss, never to a wrong or
     crashing result.  Durability and LRU byte-budget eviction come from
     :class:`JsonFileCache`.
     """
 
-    def path_for(self, spec: JobSpec) -> Path:
-        """Where this spec's result lives (whether or not it exists yet)."""
+    def path_for(self, spec) -> Path:
+        """Where this job's result lives (whether or not it exists yet)."""
         return self.directory / f"{spec.digest()}.json"
 
-    def get(self, spec: JobSpec) -> RunResult | None:
+    def get(self, spec):
         """The cached result for ``spec``, or None on any miss or damage."""
         path = self.path_for(spec)
         payload = self.read_json(path)
-        if payload is None or payload.get("schema") != CACHE_SCHEMA_VERSION:
+        if payload is None or payload.get("schema") != spec.schema:
             return None
         if payload.get("spec") != spec.to_jsonable():
             return None
         try:
-            result = result_from_jsonable(payload["result"])
+            result = spec.decode_result(payload["result"])
         except (ValueError, KeyError, TypeError):
             return None
         self.touch(path)
         return result
 
-    def put(self, spec: JobSpec, result: RunResult) -> Path:
+    def put(self, spec, result) -> Path:
         """Persist ``result`` for ``spec``; returns the entry's path."""
         payload = {
-            "schema": CACHE_SCHEMA_VERSION,
+            "schema": spec.schema,
             "spec": spec.to_jsonable(),
-            "result": result_to_jsonable(result),
+            "result": spec.encode_result(result),
         }
         return self.write_json(self.path_for(spec), payload)
 
@@ -709,13 +737,15 @@ def _fork_context():
 
 
 class ParallelRunner:
-    """Fan job specs over worker processes, memoized through two cache layers.
+    """Fan jobs over worker processes, memoized through two cache layers.
 
-    Resolution order per job: the shared in-memory dict (``memory``), then
-    the persistent :class:`ResultCache` (``cache``), then simulation.  All
-    misses of one :meth:`run` call are executed together — in a ``fork``
-    process pool when ``workers > 1``, serially otherwise — and results are
-    returned in the order the specs were given.  After :meth:`run`, the
+    A job is a :class:`JobSpec` or any other spec following the job
+    protocol documented on :class:`ResultCache`.  Resolution order per job:
+    the shared in-memory dict (``memory``), then the persistent
+    :class:`ResultCache` (``cache``), then execution.  All misses of one
+    :meth:`run` call are executed together — in a ``fork`` process pool
+    when ``workers > 1``, serially otherwise — and results are returned in
+    the order the specs were given.  After :meth:`run`, the
     :attr:`manifest` attribute describes the sweep.
     """
 
@@ -723,7 +753,7 @@ class ParallelRunner:
         self,
         workers: int = 1,
         cache: ResultCache | None = None,
-        memory: dict[str, RunResult] | None = None,
+        memory: dict | None = None,
         stats: StatRegistry | None = None,
         checkpoints=None,
         checkpoint_interval_events: int | None = None,
@@ -747,12 +777,11 @@ class ParallelRunner:
         #: never save).  See :func:`~repro.experiments.checkpoints.execute_with_checkpoints`.
         self.checkpoint_save_milestones = checkpoint_save_milestones
 
-    def lookup(self, spec: JobSpec) -> tuple[RunResult | None, str]:
-        """Probe both cache layers for one spec: ``(result, source)``.
+    def lookup(self, spec) -> tuple[object | None, str]:
+        """Probe both cache layers for one job: ``(result, source)``.
 
         ``source`` is ``"memory"``, ``"disk"`` or ``"miss"`` (with a
-        ``None`` result).  A disk hit is promoted into the in-memory layer,
-        exactly as :meth:`run` does for sweep jobs.
+        ``None`` result).  A disk hit is promoted into the in-memory layer.
         """
         digest = spec.digest()
         if digest in self.memory:
@@ -764,19 +793,13 @@ class ParallelRunner:
                 return cached, "disk"
         return None, "miss"
 
-    def store(self, spec: JobSpec, result: RunResult) -> None:
-        """Feed one freshly simulated result into both cache layers."""
-        self.memory[spec.digest()] = result
-        if self.cache is not None:
-            self.cache.put(spec, result)
-
     def run(
         self,
-        specs: list[JobSpec],
+        specs: list,
         label: str = "sweep",
         progress=None,
         warnings: list[str] | None = None,
-    ) -> list[RunResult]:
+    ) -> list:
         """Resolve every spec (cache or simulation); ordered like ``specs``.
 
         ``progress``, when given, is called with each job's
@@ -824,20 +847,13 @@ class ParallelRunner:
             if progress is not None:
                 progress(record)
 
-        for index, digest in enumerate(digests):
-            if digest in self.memory:
-                results[index] = self.memory[digest]
-                resolve(index, "memory", 0.0)
-            elif self.cache is not None:
-                cached = self.cache.get(specs[index])
-                if cached is not None:
-                    results[index] = cached
-                    self.memory[digest] = cached
-                    resolve(index, "disk", 0.0)
-                else:
-                    pending.append(index)
-            else:
+        for index, spec in enumerate(specs):
+            result, source = self.lookup(spec)
+            if result is None:
                 pending.append(index)
+            else:
+                results[index] = result
+                resolve(index, source, 0.0)
 
         if pending:
 
@@ -921,162 +937,3 @@ class ParallelRunner:
                 pool.imap(execute_one, payloads, chunksize=1)
             ):
                 on_outcome(position, outcome)
-
-
-@dataclass(frozen=True)
-class ControlledOutcome:
-    """What one controlled (interruptible) job execution produced.
-
-    ``status`` is ``"ok"`` (``result`` is set), ``"timeout"``,
-    ``"cancelled"`` or ``"error"`` (``error`` holds the reason).
-    ``sim_events`` counts kernel events executed by the simulation — the
-    PR-3 profiling hook, surfaced per job so a service can report live
-    events/sec without a profiler attached.  ``trace_cache_hits`` /
-    ``trace_cache_misses`` are the job's persistent trace-cache deltas
-    (how many front-end traces were reused vs generated), surfaced the
-    same way for the serving layer's ``/metrics``.
-    """
-
-    status: str
-    result: RunResult | None
-    wall_ms: float
-    sim_events: int = 0
-    error: str | None = None
-    trace_cache_hits: int = 0
-    trace_cache_misses: int = 0
-
-
-def _count_events(spec: JobSpec) -> tuple[RunResult, int, int, int]:
-    """Run one spec counting engine events and trace-cache hits/misses."""
-    from repro.experiments import trace_cache
-    from repro.sim.engine import Engine
-    from repro.sim.profiling import EventAccountant
-
-    accountant = EventAccountant()
-    previous = Engine.default_instrument
-    Engine.default_instrument = accountant
-    hits_before, misses_before = trace_cache.counters()
-    try:
-        result = spec.execute()
-    finally:
-        Engine.default_instrument = previous
-    hits_after, misses_after = trace_cache.counters()
-    return (
-        result,
-        accountant.events,
-        hits_after - hits_before,
-        misses_after - misses_before,
-    )
-
-
-def _controlled_child(connection, spec: JobSpec) -> None:
-    """Child-process entry point for :func:`run_spec_controlled`."""
-    try:
-        result, events, trace_hits, trace_misses = _count_events(spec)
-        connection.send(
-            ("ok", result_to_jsonable(result), events, trace_hits, trace_misses)
-        )
-    except BaseException as exc:  # report, never hang the parent
-        try:
-            connection.send(("error", f"{type(exc).__name__}: {exc}", 0, 0, 0))
-        except OSError:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        connection.close()
-
-
-def run_spec_controlled(
-    spec: JobSpec,
-    timeout_s: float | None = None,
-    cancel: threading.Event | None = None,
-    poll_s: float = 0.02,
-) -> ControlledOutcome:
-    """Simulate one spec in a child process with timeout and cancellation.
-
-    The simulation runs in a forked child; the parent polls a result pipe,
-    the optional ``cancel`` event and the deadline, and terminates the
-    child on either — so a stuck or abandoned job releases its CPU instead
-    of running to completion.  The result travels back in the cache's JSON
-    form, making a controlled run bit-identical to a cached one.  On
-    platforms without ``fork`` the job runs inline (no mid-run
-    interruption; a pre-set ``cancel`` is still honoured).
-    """
-    started = time.perf_counter()
-    if cancel is not None and cancel.is_set():
-        return ControlledOutcome("cancelled", None, 0.0, error="cancelled before start")
-    context = _fork_context()
-    if context is None:  # pragma: no cover - platform-dependent fallback
-        try:
-            result, events, trace_hits, trace_misses = _count_events(spec)
-        except Exception as exc:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            return ControlledOutcome(
-                "error", None, wall_ms, error=f"{type(exc).__name__}: {exc}"
-            )
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        return ControlledOutcome(
-            "ok",
-            result,
-            wall_ms,
-            sim_events=events,
-            trace_cache_hits=trace_hits,
-            trace_cache_misses=trace_misses,
-        )
-
-    parent_conn, child_conn = context.Pipe(duplex=False)
-    process = context.Process(
-        target=_controlled_child, args=(child_conn, spec), daemon=True
-    )
-    process.start()
-    child_conn.close()
-    deadline = None if timeout_s is None else started + float(timeout_s)
-    payload = None
-    status = "error"
-    try:
-        while True:
-            if parent_conn.poll(poll_s):
-                try:
-                    payload = parent_conn.recv()
-                except EOFError:
-                    payload = (
-                        "error",
-                        "worker exited without reporting a result",
-                        0,
-                        0,
-                        0,
-                    )
-                break
-            if cancel is not None and cancel.is_set():
-                status = "cancelled"
-                break
-            if deadline is not None and time.perf_counter() >= deadline:
-                status = "timeout"
-                break
-            if not process.is_alive() and not parent_conn.poll(0):
-                payload = ("error", "worker died before reporting a result", 0, 0, 0)
-                break
-    finally:
-        if payload is None:
-            process.terminate()
-        process.join(timeout=5.0)
-        if process.is_alive():  # pragma: no cover - terminate() was ignored
-            process.kill()
-            process.join(timeout=5.0)
-        parent_conn.close()
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    if payload is None:
-        reason = "cancelled by request" if status == "cancelled" else (
-            f"timed out after {timeout_s:.3f} s"
-        )
-        return ControlledOutcome(status, None, wall_ms, error=reason)
-    kind, body, events, trace_hits, trace_misses = payload
-    if kind == "ok":
-        return ControlledOutcome(
-            "ok",
-            result_from_jsonable(body),
-            wall_ms,
-            sim_events=int(events),
-            trace_cache_hits=int(trace_hits),
-            trace_cache_misses=int(trace_misses),
-        )
-    return ControlledOutcome("error", None, wall_ms, error=str(body))

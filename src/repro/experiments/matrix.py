@@ -16,18 +16,15 @@ attackers to random guessing, and the rebuild-timing attacker flags exactly
 the ORAM backends whose amortized maintenance pulses in countable bursts.
 
 Run it with ``python -m repro matrix`` (``--workers N`` parallelizes the
-cold captures; cells are content-addressed in the result cache, so reruns
-are pure cache hits).
+cold captures; cells are content-addressed in the result cache directory
+beside simulation results, so reruns are pure cache hits).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 from repro.analysis.leakage import expected_leakage
 from repro.attacks import (
@@ -40,12 +37,7 @@ from repro.attacks import (
 from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.errors import ConfigurationError
 from repro.experiments import runner, trace_cache
-from repro.experiments.executor import (
-    DEFAULT_SEED,
-    JsonFileCache,
-    ParallelRunner,
-    RunManifest,
-)
+from repro.experiments.executor import DEFAULT_SEED, RunManifest, content_digest
 from repro.experiments.runner import TableColumn, format_table
 from repro.mem.bus import BusObserver, MemoryBus
 from repro.schemes import resolve_scheme, scheme_names
@@ -105,10 +97,11 @@ def capture_workload(
 class AttackCellSpec:
     """One matrix cell: run one attacker against one scheme's captures.
 
-    Duck-typed to ride :class:`~repro.experiments.executor.ParallelRunner`
-    exactly like a :class:`~repro.experiments.executor.JobSpec`: it is
-    hashable by value, content-addressable via :meth:`digest`, and
-    :meth:`execute` produces the cell's :class:`AttackOutcome`.
+    A job in the sense of :class:`~repro.experiments.executor.ResultCache`,
+    like a :class:`~repro.experiments.executor.JobSpec`: it is hashable by
+    value, content-addressable via :meth:`digest`, :meth:`execute` produces
+    the cell's :class:`AttackOutcome`, and the result cache and
+    :mod:`~repro.experiments.runner` store it beside simulation results.
     """
 
     attack: str
@@ -144,6 +137,15 @@ class AttackCellSpec:
         """Captures are single-core (manifest bookkeeping field)."""
         return 1
 
+    #: The result-cache codec for this job's :class:`AttackOutcome`.
+    encode_result = staticmethod(AttackOutcome.to_jsonable)
+    decode_result = staticmethod(AttackOutcome.from_jsonable)
+
+    @property
+    def schema(self) -> str:
+        """Cache schema token, read from :data:`ATTACK_SCHEMA_VERSION` per call."""
+        return ATTACK_SCHEMA_VERSION
+
     def to_jsonable(self) -> dict:
         """The cell spec as a canonical JSON-ready dict."""
         return {
@@ -157,9 +159,7 @@ class AttackCellSpec:
 
     def digest(self) -> str:
         """Content hash of the spec plus the attack schema version."""
-        payload = {"schema": ATTACK_SCHEMA_VERSION, "spec": self.to_jsonable()}
-        encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+        return content_digest({"schema": self.schema, "spec": self.to_jsonable()})
 
     def execute(self) -> AttackOutcome:
         """Capture the scheme's bus traffic and run the attacker over it.
@@ -186,108 +186,6 @@ class AttackCellSpec:
             scheme=self.level, channels=self.channels, captures=captures
         )
         return attacker.attack(observed)
-
-
-class AttackCache(JsonFileCache):
-    """Content-addressed persistent store of attack-cell outcomes.
-
-    One JSON file per cell digest, mirroring
-    :class:`~repro.experiments.executor.ResultCache`: every entry embeds
-    the schema token and the spec it was computed from, so stale schemas,
-    collisions and damage all degrade to a miss.
-    """
-
-    def path_for(self, spec: AttackCellSpec) -> Path:
-        """Where this cell's outcome lives (whether or not it exists yet)."""
-        return self.directory / f"{spec.digest()}.json"
-
-    def get(self, spec: AttackCellSpec) -> AttackOutcome | None:
-        """The cached outcome for ``spec``, or None on any miss or damage."""
-        path = self.path_for(spec)
-        payload = self.read_json(path)
-        if payload is None or payload.get("schema") != ATTACK_SCHEMA_VERSION:
-            return None
-        if payload.get("spec") != spec.to_jsonable():
-            return None
-        try:
-            outcome = AttackOutcome.from_jsonable(payload["result"])
-        except (ValueError, KeyError, TypeError):
-            return None
-        self.touch(path)
-        return outcome
-
-    def put(self, spec: AttackCellSpec, outcome: AttackOutcome) -> Path:
-        """Persist ``outcome`` for ``spec``; returns the entry's path."""
-        payload = {
-            "schema": ATTACK_SCHEMA_VERSION,
-            "spec": spec.to_jsonable(),
-            "result": outcome.to_jsonable(),
-        }
-        return self.write_json(self.path_for(spec), payload)
-
-
-# Process-lifetime outcome cache, shared across matrix runs like
-# runner._cache is shared across table/figure regenerations.
-_memory: dict[str, AttackOutcome] = {}
-
-
-def clear_memory() -> None:
-    """Drop the in-process outcome cache (the disk cache stays)."""
-    _memory.clear()
-
-
-def _disk_cache() -> AttackCache | None:
-    """The persistent attack-cell cache per runner config, or None."""
-    config = runner.get_config()
-    if not config.cache_enabled:
-        return None
-    return AttackCache(config.cache_dir / "attacks", max_bytes=config.cache_bytes)
-
-
-def prefetch_cells(
-    specs: list[AttackCellSpec], label: str = "matrix", progress=None
-) -> RunManifest:
-    """Resolve every cell (cache or execution), fanning cold cells out.
-
-    Mirrors :func:`repro.experiments.runner.prefetch` for attack cells:
-    outcomes populate the in-process dict and the persistent attack cache,
-    the sweep manifest lands under ``<cache-dir>/manifests/<label>.json``,
-    and ``--profile`` runs the sweep serially under cProfile + event
-    accounting with hotspot reports next to the manifest.
-    """
-    config = runner.get_config()
-    if config.profile:
-        return _prefetch_profiled(specs, label)
-    parallel = ParallelRunner(
-        workers=config.workers, cache=_disk_cache(), memory=_memory
-    )
-    parallel.run(list(specs), label=label, progress=progress)
-    manifest = parallel.manifest
-    assert manifest is not None
-    if config.cache_enabled:
-        manifest.write(config.cache_dir / "manifests" / f"{label}.json")
-    return manifest
-
-
-def _prefetch_profiled(specs: list[AttackCellSpec], label: str) -> RunManifest:
-    """Profiled cell sweep: serial, in-process, hotspot reports on disk."""
-    from repro.sim import profiling
-
-    config = runner.get_config()
-    parallel = ParallelRunner(workers=1, cache=_disk_cache(), memory=_memory)
-    with profiling.capture() as session:
-        parallel.run(list(specs), label=label)
-    manifest = parallel.manifest
-    assert manifest is not None
-    manifest_dir = config.cache_dir / "manifests"
-    if config.cache_enabled:
-        manifest.write(manifest_dir / f"{label}.json")
-    json_path, text_path = session.write_reports(manifest_dir, label)
-    print(
-        f"[profile] {label}: {session.accountant.events} events in "
-        f"{session.wall_s:.3f} s -> {json_path} / {text_path}"
-    )
-    return manifest
 
 
 @dataclass(frozen=True)
@@ -437,10 +335,10 @@ def run(
 ) -> MatrixResult:
     """Run the scheme×attack sweep and assemble the verdict matrix."""
     specs = matrix_specs(schemes, attacks, workloads, num_requests, seed, channels)
-    manifest = prefetch_cells(specs, label="matrix", progress=progress)
+    manifest = runner.prefetch(specs, label="matrix", progress=progress)
     cells = []
     for spec in specs:
-        outcome = _memory[spec.digest()]
+        outcome = runner.run_spec(spec)
         attacker = get_attacker(spec.attack)
         expected = expected_leakage(resolve_scheme(spec.level))
         cells.append(

@@ -6,7 +6,9 @@ that call with a two-layer cache — a process-lifetime dict plus the
 persistent on-disk :class:`~repro.experiments.executor.ResultCache` — and a
 parallel prefetch step, so a full regeneration of the paper's evaluation
 reuses each (benchmark, level, machine, seed) simulation across processes
-and can fan cold jobs out over every core.
+and can fan cold jobs out over every core.  The scheme×attack matrix
+(:mod:`repro.experiments.matrix`) resolves its cells through the same
+two layers and the same :func:`prefetch`.
 
 The execution surface is configured once per process::
 
@@ -26,6 +28,7 @@ enabled it is written under ``<cache-dir>/manifests/<label>.json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +50,7 @@ from repro.experiments.executor import (
 )
 from repro.attacks import add_attack_arguments
 from repro.schemes import add_scheme_arguments
+from repro.sim import profiling
 from repro.sim.statistics import StatRegistry
 from repro.system.config import MachineConfig, ProtectionLevel
 from repro.system.simulator import RunResult
@@ -54,7 +58,8 @@ from repro.system.simulator import RunResult
 WORKERS_ENV = "REPRO_WORKERS"
 PROFILE_ENV = "REPRO_PROFILE"
 
-_cache: dict[str, RunResult] = {}
+#: Process-lifetime results of every job kind, keyed by job digest.
+_cache: dict[str, object] = {}
 _stats = StatRegistry()
 
 
@@ -195,32 +200,37 @@ def cached_run(
     return run_spec(spec)
 
 
-def run_spec(spec: JobSpec) -> RunResult:
-    """Resolve one :class:`JobSpec` through both cache layers."""
+def _parallel(workers: int) -> ParallelRunner:
+    """A runner over this process's two cache layers and counters."""
+    return ParallelRunner(
+        workers=workers, cache=_disk_cache(), memory=_cache, stats=_stats
+    )
+
+
+def run_spec(spec):
+    """Resolve one job through both cache layers, executing it on a miss.
+
+    ``spec`` is a :class:`JobSpec` or any spec following the job protocol
+    documented on :class:`~repro.experiments.executor.ResultCache`.
+    """
     group = _stats.group("runner")
-    digest = spec.digest()
-    if digest in _cache:
-        group.add("memory_hits")
-        return _cache[digest]
-    disk = _disk_cache()
-    if disk is not None:
-        cached = disk.get(spec)
-        if cached is not None:
-            group.add("disk_hits")
-            _cache[digest] = cached
-            return cached
+    parallel = _parallel(workers=1)
+    result, source = parallel.lookup(spec)
+    if result is not None:
+        group.add(f"{source}_hits")
+        return result
     group.add("simulations")
     result = spec.execute()
-    _cache[digest] = result
-    if disk is not None:
-        disk.put(spec, result)
+    _cache[spec.digest()] = result
+    if parallel.cache is not None:
+        parallel.cache.put(spec, result)
     return result
 
 
-def prefetch(specs: list[JobSpec], label: str = "sweep", progress=None) -> RunManifest:
-    """Resolve a whole sweep up front, fanning cold jobs over workers.
+def prefetch(specs: list, label: str = "sweep", progress=None) -> RunManifest:
+    """Resolve a whole sweep of jobs up front, fanning cold jobs over workers.
 
-    Populates both cache layers, so subsequent :func:`cached_run` calls for
+    Populates both cache layers, so subsequent :func:`run_spec` calls for
     the same specs are pure in-memory hits.  Returns the sweep's manifest;
     with the disk cache enabled it is also written to
     ``<cache-dir>/manifests/<label>.json``.  ``progress`` (a callable
@@ -228,50 +238,26 @@ def prefetch(specs: list[JobSpec], label: str = "sweep", progress=None) -> RunMa
     per-job resolution as the sweep advances.
 
     With profiling enabled (``--profile`` / ``REPRO_PROFILE``), the sweep
-    runs serially in-process under cProfile + event accounting, and the
-    hotspot reports are written alongside the manifest as
+    runs with ``workers=1`` inside :func:`repro.sim.profiling.capture` —
+    fork workers cannot feed a parent-side profiler — and the hotspot
+    reports are written alongside the manifest as
     ``<label>.profile.json`` / ``<label>.profile.txt``.
     """
-    if _config.profile:
-        return _prefetch_profiled(specs, label)
-    parallel = ParallelRunner(
-        workers=_config.workers,
-        cache=_disk_cache(),
-        memory=_cache,
-        stats=_stats,
-    )
-    parallel.run(list(specs), label=label, progress=progress)
-    manifest = parallel.manifest
-    assert manifest is not None
-    if _config.cache_enabled:
-        manifest.write(_config.cache_dir / "manifests" / f"{label}.json")
-    return manifest
-
-
-def _prefetch_profiled(specs: list[JobSpec], label: str) -> RunManifest:
-    """Profiled sweep: serial, in-process, with hotspot reports on disk.
-
-    Fork workers cannot feed a parent-side profiler, so profiling forces
-    ``workers=1``; cold simulations still populate both cache layers.
-    """
-    from repro.sim import profiling
-
-    parallel = ParallelRunner(
-        workers=1,
-        cache=_disk_cache(),
-        memory=_cache,
-        stats=_stats,
-    )
-    with profiling.capture() as session:
-        parallel.run(list(specs), label=label)
+    parallel = _parallel(workers=1 if _config.profile else _config.workers)
+    capture = profiling.capture() if _config.profile else contextlib.nullcontext()
+    with capture as session:
+        parallel.run(list(specs), label=label, progress=progress)
     manifest = parallel.manifest
     assert manifest is not None
     manifest_dir = _config.cache_dir / "manifests"
     if _config.cache_enabled:
         manifest.write(manifest_dir / f"{label}.json")
-    json_path, text_path = session.write_reports(manifest_dir, label)
-    print(f"[profile] {label}: {session.accountant.events} events in "
-          f"{session.wall_s:.3f} s -> {json_path} / {text_path}")
+    if session is not None:
+        json_path, text_path = session.write_reports(manifest_dir, label)
+        print(
+            f"[profile] {label}: {session.accountant.events} events in "
+            f"{session.wall_s:.3f} s -> {json_path} / {text_path}"
+        )
     return manifest
 
 

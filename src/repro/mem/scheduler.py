@@ -223,20 +223,6 @@ class ChannelController:
     # substitution) would observe empty queues.
     _ISSUE_HORIZON_BURSTS = 8
 
-    def _earliest_issue_ps(self, now: int) -> int:
-        """Earliest time an issue could succeed given current reservations.
-
-        An issue needs the command slot free and the data bus within the
-        issue horizon; both `_cmd_free_ps` and `_bus_free_ps` only move
-        forward, so this bound is exact — waking any earlier could never
-        issue, waking exactly here always re-evaluates with fresh queues.
-        """
-        at = self._cmd_free_ps
-        gate = self._bus_free_ps - self._horizon_ps
-        if gate > at:
-            at = gate
-        return at if at > now else now
-
     def _arm_pump(self) -> None:
         """Arm (at most) one wakeup at the earliest possible issue time.
 
@@ -296,10 +282,6 @@ class ChannelController:
             if queued.bank.open_row == decoded.row:
                 return index
         return None
-
-    def _burst_direction(self, request: MemoryRequest) -> Direction:
-        """Which way this request's data burst crosses the bus."""
-        return Direction.TO_PROCESSOR if request.is_read else Direction.TO_MEMORY
 
     def _direction_match_index(
         self, queue: list[_QueuedRequest], lookahead: int = 4
@@ -566,7 +548,7 @@ class MemorySystem:
             for channel in range(mapping.channels)
         ]
 
-    def enqueue(
+    def issue(
         self,
         request: MemoryRequest,
         callback: CompletionCallback | None = None,
@@ -575,20 +557,11 @@ class MemorySystem:
         command_slots: int = 1,
         bus_extra_ps: int = 0,
     ) -> None:
-        """Route a request to its channel's controller."""
+        """Route a request to its channel's controller (the memory port)."""
         channel = self.mapping.channel_of(request.address)
         self.channels[channel].enqueue(
             request, callback, wire_command, wire_data, command_slots, bus_extra_ps
         )
-
-    # Port-compatibility alias: protection layers call ``issue``.
-    def issue(
-        self,
-        request: MemoryRequest,
-        callback: CompletionCallback | None = None,
-    ) -> None:
-        """Port-protocol alias of :meth:`enqueue`."""
-        self.enqueue(request, callback)
 
     def channel_for(self, address: int) -> ChannelController:
         """Controller serving the channel this address maps to."""

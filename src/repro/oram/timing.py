@@ -16,7 +16,6 @@ stash-failure numbers for Table 4 and §5.2.
 
 from __future__ import annotations
 
-import dataclasses
 from collections.abc import Callable
 from functools import partial
 
@@ -41,9 +40,8 @@ class OramMemoryModel:
 
     The serviced latency and the per-access traffic (blocks read/written,
     PCM cell writes) are read once from the backend's
-    :class:`~repro.oram.backend.AccessDecomposition`; legacy keyword
-    overrides (``access_latency_ns``/``levels``/``bucket_size``) rescale
-    the descriptor so existing call sites keep their meaning.
+    :class:`~repro.oram.backend.AccessDecomposition`; callers rescale the
+    latency with :meth:`~repro.oram.backend.OramBackend.with_latency`.
 
     With a ``bus`` attached, the model emits :data:`TransferKind.PULSE`
     records: an opaque trusted package exposes no wire, but its *activity
@@ -61,23 +59,12 @@ class OramMemoryModel:
         engine: Engine,
         stats: StatRegistry,
         backend: OramBackend | str | None = None,
-        access_latency_ns: float | None = None,
-        levels: int | None = None,
-        bucket_size: int | None = None,
         bus: MemoryBus | None = None,
     ):
         if backend is None:
             backend = PathOramBackend()
         elif isinstance(backend, str):
             backend = get_backend(backend)
-        overrides = {
-            "access_latency_ns": access_latency_ns,
-            "levels": levels,
-            "bucket_size": bucket_size,
-        }
-        applied = {k: v for k, v in overrides.items() if v is not None}
-        if applied:
-            backend = dataclasses.replace(backend, **applied)
         self.backend = backend
         self.engine = engine
         self.stats = stats.group("oram")
@@ -153,6 +140,3 @@ class OramMemoryModel:
         request.complete_time_ps = self.engine.now_ps
         if callback is not None:
             callback(request)
-
-    # Port-compatibility alias (MemorySystem exposes enqueue).
-    enqueue = issue

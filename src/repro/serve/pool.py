@@ -12,7 +12,7 @@ The moving parts:
 * :func:`_pool_worker_main` — the worker-process loop: receive a spec and
   a wall-clock budget, probe the shared on-disk
   :class:`~repro.experiments.executor.ResultCache`, simulate on a miss
-  (with event accounting), persist, reply.  With a cache directory the
+  (counting kernel events), persist, reply.  With a cache directory the
   worker also holds a :class:`~repro.experiments.checkpoints.
   CheckpointStore`: a budgeted job that cannot finish in time is
   *checkpointed and preempted* — the worker snapshots the live
@@ -69,49 +69,42 @@ PREEMPT_SLICE_EVENTS = 20_000
 
 
 def _simulate_sliced(spec, store, budget_s):
-    """Run ``spec`` with event accounting, preempting at the wall budget.
+    """Run ``spec``, preempting at the wall budget.
 
     Resumes from the deepest usable snapshot in ``store`` when one exists.
     Returns ``(result, events, trace_hits, trace_misses, ckpt_hits,
-    ckpt_misses)`` — ``result`` is None when the budget expired before the
-    simulation finished, in which case the live world was checkpointed to
-    ``store`` so the next slice can resume it.  Without a store or budget
-    this degrades to a plain start-to-finish run.
+    ckpt_misses)`` — ``events`` is the kernel events this slice executed
+    (the engine's own count, less the snapshot's), and ``result`` is None
+    when the budget expired before the simulation finished, in which case
+    the live world was checkpointed to ``store`` so the next slice can
+    resume it.  Without a store or budget this degrades to a plain
+    start-to-finish run.
     """
-    from repro.sim.engine import Engine
-    from repro.sim.profiling import EventAccountant
-
-    accountant = EventAccountant()
-    previous = Engine.default_instrument
-    Engine.default_instrument = accountant
     hits_before, misses_before = trace_cache.counters()
     deadline = None if budget_s is None else time.perf_counter() + float(budget_s)
-    try:
-        world, forked_from = world_for_spec(spec, store)
-        ckpt_hits, ckpt_misses = (0, 0)
-        if store is not None:
-            ckpt_hits, ckpt_misses = (1, 0) if forked_from else (0, 1)
-        finished = False
-        if deadline is None or store is None:
-            world.run()
-            finished = True
-        else:
-            while True:
-                if world.run(stop_after_events=PREEMPT_SLICE_EVENTS):
-                    finished = True
-                    break
-                if time.perf_counter() >= deadline:
-                    try:
-                        store.put(spec, world.snapshot())
-                    except Exception:
-                        continue  # cannot persist progress: keep simulating
-                    break
-    finally:
-        Engine.default_instrument = previous
+    world, forked_from = world_for_spec(spec, store)
+    ckpt_hits, ckpt_misses = (0, 0)
+    if store is not None:
+        ckpt_hits, ckpt_misses = (1, 0) if forked_from else (0, 1)
+    finished = False
+    if deadline is None or store is None:
+        world.run()
+        finished = True
+    else:
+        while True:
+            if world.run(stop_after_events=PREEMPT_SLICE_EVENTS):
+                finished = True
+                break
+            if time.perf_counter() >= deadline:
+                try:
+                    store.put(spec, world.snapshot())
+                except Exception:
+                    continue  # cannot persist progress: keep simulating
+                break
     hits_after, misses_after = trace_cache.counters()
     return (
         world.result() if finished else None,
-        accountant.events,
+        world.events_executed - forked_from,
         hits_after - hits_before,
         misses_after - misses_before,
         ckpt_hits,
@@ -123,8 +116,8 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     """Entry point of one persistent worker process.
 
     Loops forever: receive ``("run", job_id, spec, budget_s)``, resolve it
-    through the shared on-disk cache or a fresh simulation (with
-    kernel-event and trace-cache accounting), persist a fresh result, and
+    through the shared on-disk cache or a fresh simulation (counting
+    kernel events and trace-cache hits), persist a fresh result, and
     reply with one of::
 
         ("ok", job_id, source, result_json, wall_ms,

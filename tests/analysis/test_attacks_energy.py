@@ -2,16 +2,15 @@
 
 import pytest
 
-from repro.analysis.attacks import (
-    EcbAddressObfuscation,
+from repro.analysis.energy import analytical_comparison, measure_obfusmem
+from repro.attacks.dictionary import EcbAddressObfuscation, dictionary_attack
+from repro.attacks.tamper import (
     command_bitflip_attack,
     data_tamper_attack,
-    dictionary_attack,
     injection_attack,
     message_drop_attack,
     replay_attack,
 )
-from repro.analysis.energy import analytical_comparison, measure_obfusmem
 from repro.core.config import AuthMode
 from repro.crypto.rng import DeterministicRng
 

@@ -96,15 +96,6 @@ class TestTamperBattery:
 
 
 class TestLegacyShims:
-    def test_analysis_attacks_reexports_registry_primitives(self):
-        from repro.analysis import attacks as shim
-        from repro.attacks import dictionary, tamper
-
-        assert shim.dictionary_attack is dictionary.dictionary_attack
-        assert shim.EcbAddressObfuscation is dictionary.EcbAddressObfuscation
-        assert shim.replay_attack is tamper.replay_attack
-        assert shim.command_bitflip_attack is tamper.command_bitflip_attack
-
     def test_registry_wrappers_are_registered(self):
         assert isinstance(get_attacker("dictionary"), DictionaryAttacker)
         assert isinstance(get_attacker("tamper"), TamperAttacker)

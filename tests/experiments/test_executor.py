@@ -330,6 +330,24 @@ class TestCachedRunKeying:
         assert runner.simulations_performed() == 2
 
 
+class TestProfiledPrefetch:
+    def test_profiled_sweep_writes_reports(self, tmp_path):
+        runner.configure(
+            workers=2, cache_enabled=True, cache_dir=tmp_path, profile=True
+        )
+        runner.clear_cache()
+        specs = [_spec(), _spec(level=ProtectionLevel.OBFUSMEM)]
+        try:
+            manifest = runner.prefetch(specs, label="profiled")
+        finally:
+            runner.configure(profile=False)
+        assert manifest.workers == 1 and manifest.cache_misses == 2
+        manifests = tmp_path / "manifests"
+        report = json.loads((manifests / "profiled.profile.json").read_text())
+        assert report["events_executed"] > 0
+        assert (manifests / "profiled.profile.txt").is_file()
+
+
 SUBPROCESS_SCRIPT = textwrap.dedent(
     """
     from repro.experiments import runner, table1

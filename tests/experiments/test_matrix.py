@@ -9,9 +9,9 @@ import pytest
 from repro.attacks import AttackOutcome, attacker_names
 from repro.errors import ConfigurationError
 from repro.experiments import matrix, runner
+from repro.experiments.executor import ResultCache
 from repro.experiments.export import write_matrix
 from repro.experiments.matrix import (
-    AttackCache,
     AttackCellSpec,
     MatrixCell,
     MatrixResult,
@@ -25,6 +25,13 @@ SMALL = dict(
     attacks=["dictionary", "type_recovery"],
     workloads=("bwaves", "mcf"),
 )
+ONE_CELL = dict(
+    schemes=["unprotected"],
+    attacks=["type_recovery"],
+    workloads=("bwaves",),
+    num_requests=200,
+    seed=5,
+)
 
 
 @pytest.fixture(scope="module")
@@ -33,13 +40,11 @@ def small_matrix(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("matrix-cache")
     runner.configure(workers=1, cache_enabled=True, cache_dir=cache_dir)
     runner.clear_cache()
-    matrix.clear_memory()
     matrix.capture_workload.cache_clear()
     result = matrix.run(**SMALL)
     yield result, cache_dir
     runner.reset_config()
     runner.clear_cache()
-    matrix.clear_memory()
     matrix.capture_workload.cache_clear()
 
 
@@ -118,7 +123,7 @@ class TestSmallMatrix:
         # The hermetic autouse fixture disabled the cache for this test
         # body; point the runner back at the module's populated cache.
         runner.configure(workers=1, cache_enabled=True, cache_dir=cache_dir)
-        matrix.clear_memory()
+        runner.clear_cache()
         matrix.capture_workload.cache_clear()
         again = matrix.run(**SMALL)
         assert again.manifest.cache_misses == 0  # all cells from disk
@@ -143,7 +148,7 @@ class TestSmallMatrix:
 
 class TestAttackCache:
     def test_roundtrip_and_damage_degrade_to_miss(self, tmp_path):
-        cache = AttackCache(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = AttackCellSpec(attack="dictionary", level="unprotected")
         outcome = AttackOutcome("dictionary", "unprotected", 1.0, 0.0, 1.0, {})
         assert cache.get(spec) is None
@@ -155,6 +160,35 @@ class TestAttackCache:
         assert cache.get(spec) is None  # stale schema
         path.write_text("{not json")
         assert cache.get(spec) is None  # damage
+
+    def test_cells_share_the_result_directory_and_its_budget(self, tmp_path):
+        """Cell entries sit beside simulation results, under one LRU budget."""
+        runner.configure(cache_enabled=True, cache_dir=tmp_path)
+        runner.clear_cache()
+        matrix.capture_workload.cache_clear()
+        matrix.run(**ONE_CELL)
+        [spec] = matrix_specs(**ONE_CELL)
+        entry = tmp_path / f"{spec.digest()}.json"
+        assert entry.is_file()
+        cache = ResultCache(tmp_path)
+        assert cache.size_bytes() >= entry.stat().st_size
+        assert cache.evict(max_bytes=0) >= 1
+        assert not entry.exists()
+
+
+class TestProfiledMatrix:
+    def test_profiled_run_writes_reports(self, tmp_path):
+        runner.configure(cache_enabled=True, cache_dir=tmp_path, profile=True)
+        runner.clear_cache()
+        matrix.capture_workload.cache_clear()
+        try:
+            matrix.run(**ONE_CELL)
+        finally:
+            runner.configure(profile=False)
+        manifests = tmp_path / "manifests"
+        report = json.loads((manifests / "matrix.profile.json").read_text())
+        assert report["events_executed"] > 0
+        assert (manifests / "matrix.profile.txt").is_file()
 
 
 class TestDeterminism:

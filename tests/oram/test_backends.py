@@ -177,10 +177,6 @@ class TestTimingModelBackends:
         assert stats.get("blocks_read") == decomposition.blocks_read
         assert stats.get("cell_block_writes") == decomposition.cell_writes
 
-    def test_legacy_latency_override_still_raises(self):
-        with pytest.raises(ConfigurationError):
-            OramMemoryModel(Engine(), StatRegistry(), access_latency_ns=0)
-
 
 @dataclass(frozen=True)
 class _TollboothBackend(OramBackend):

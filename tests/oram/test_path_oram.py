@@ -183,7 +183,3 @@ class TestTimingModel:
         model.issue(MemoryRequest(0, RequestType.WRITE), None)
         engine.run()
         assert stats.group("oram").get("cell_block_writes") == 100
-
-    def test_invalid_latency_rejected(self):
-        with pytest.raises(ConfigurationError):
-            OramMemoryModel(Engine(), StatRegistry(), access_latency_ns=0)

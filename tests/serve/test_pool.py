@@ -16,6 +16,7 @@ import time
 
 import pytest
 
+from repro.experiments.checkpoints import build_world
 from repro.experiments.executor import JobSpec, result_to_jsonable
 from repro.serve.jobs import JobBoard, JobState
 from repro.serve.pool import WorkerPool
@@ -112,6 +113,21 @@ class TestExecution:
         assert outcome.sim_events > 0
         assert outcome.result_payload == result_to_jsonable(fast_jobspec().execute())
         probe.wait_running(job.id)  # on_running fired before the outcome
+
+    def test_cold_job_reports_the_engines_event_count(self):
+        world = build_world(fast_jobspec())
+        world.run()
+        board = JobBoard()
+        probe = PoolProbe()
+        pool = make_pool(probe)
+        try:
+            job = board.create(fast_jobspec())
+            pool.dispatch(job)
+            outcome = probe.wait_outcome(job.id)
+        finally:
+            pool.stop()
+        assert outcome.source == "simulated"
+        assert outcome.sim_events == world.events_executed > 0
 
     def test_shard_routing_is_deterministic(self):
         probe = PoolProbe()
