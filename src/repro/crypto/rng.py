@@ -82,16 +82,6 @@ class DeterministicRng:
         """Restore a state captured by :meth:`getstate` (same stream after)."""
         self._random.setstate(state)
 
-    # Checkpoint-protocol aliases: every snapshottable component exposes
-    # snapshot()/restore(); for the rng they are the state tuple itself.
-    def snapshot(self) -> tuple:
-        """Checkpoint-protocol alias for :meth:`getstate`."""
-        return self.getstate()
-
-    def restore(self, state: tuple) -> None:
-        """Checkpoint-protocol alias for :meth:`setstate`."""
-        self.setstate(state)
-
     def fork(self, label: str) -> "DeterministicRng":
         """Independent child stream derived from this seed and a label.
 

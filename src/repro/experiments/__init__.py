@@ -16,9 +16,8 @@
   on-disk result cache + run manifests.
 - :mod:`repro.experiments.runner` — cached-run frontend, process-wide
   worker/cache configuration, table formatting.
-- :mod:`repro.experiments.trace_cache` — persistent content-addressed
-  cache of front-end traces, sharing the result cache's directory and
-  byte budget.
+- :mod:`repro.experiments.trace_cache` — front-end trace specs, stored
+  as ordinary result-cache entries, behind an in-process trace memo.
 - :mod:`repro.experiments.checkpoints` — persistent checkpoint store and
   warm-started execution for request-count sweep families.
 - :mod:`repro.experiments.sweep` — declarative design-space sweeps

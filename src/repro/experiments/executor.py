@@ -77,9 +77,8 @@ MANIFEST_SCHEMA_VERSION = 2
 #: directory.  Override with ``--cache-dir`` or ``REPRO_CACHE_DIR``.
 DEFAULT_CACHE_DIR = Path(".repro-cache")
 
-#: Environment variables controlling the persistent caches.  Read by
-#: :mod:`repro.experiments.runner` (which re-exports the names) and by the
-#: trace cache's standalone defaults (:mod:`repro.experiments.trace_cache`).
+#: Environment variables controlling the persistent cache, read once by
+#: :mod:`repro.experiments.runner` (which re-exports the names).
 NO_CACHE_ENV = "REPRO_NO_CACHE"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
@@ -195,13 +194,13 @@ class JobSpec:
     def execute(self) -> RunResult:
         """Run the simulation this spec describes (the result is not cached).
 
-        The front-end traces come through the process-wide persistent trace
-        cache (:mod:`repro.experiments.trace_cache`): warm runs skip trace
-        generation entirely, cold runs generate and persist.  Cached traces
+        The front-end traces come through :mod:`repro.experiments.trace_cache`
+        and the runner's result store: warm runs skip trace generation
+        entirely, cold runs generate and persist.  Cached traces
         round-trip through JSON exactly, so the result is bit-identical to
         a direct :func:`repro.system.run_benchmark` either way.
         """
-        # Imported lazily: trace_cache builds on this module's cache base.
+        # Imported lazily: trace_cache builds on this module's store.
         from repro.experiments.trace_cache import traces_for_benchmark
 
         profile = SPEC_PROFILES[self.benchmark]
@@ -373,15 +372,16 @@ def spec_from_jsonable(payload: dict) -> JobSpec:
 class JsonFileCache:
     """Shared machinery for content-addressed JSON stores under one directory.
 
-    Concrete caches — :class:`ResultCache` for job results, and
-    :class:`repro.experiments.trace_cache.TraceCache` for front-end traces
-    — provide the entry naming and payload validation; this base owns the
-    durable parts: tolerant reads (damage degrades to a miss), atomic
-    write-then-rename persistence, mtime-as-LRU-clock touching on hits,
-    and byte-budget eviction over every ``*.json`` entry in the directory.
-    Different entry kinds sharing one directory therefore also share one
-    LRU byte budget: a burst of trace writes can evict cold results and
-    vice versa, keeping the *directory* bounded, not each kind separately.
+    Concrete stores — :class:`ResultCache` for job results and front-end
+    traces, and :class:`repro.experiments.checkpoints.CheckpointStore` for
+    simulation snapshots — provide the entry naming and payload
+    validation; this base owns the durable parts: tolerant reads (damage
+    degrades to a miss), atomic write-then-rename persistence,
+    mtime-as-LRU-clock touching on hits, and byte-budget eviction over
+    every ``*.json`` entry in the directory.  Different entry kinds sharing
+    one directory therefore also share one LRU byte budget: a burst of
+    trace writes can evict cold results and vice versa, keeping the
+    *directory* bounded, not each kind separately.
 
     With ``max_bytes`` set, every write evicts least-recently-used entries
     (by file mtime) until the directory fits the byte budget again.  A
@@ -525,35 +525,36 @@ class JsonFileCache:
 
 
 class ResultCache(JsonFileCache):
-    """Content-addressed persistent store of job results.
+    """Content-addressed persistent store of job results and traces.
 
-    The store serves any *job*.  A job is a frozen, hashable spec with:
+    The store serves any frozen, hashable spec with:
 
     * ``digest()`` — its content address: a hash of ``schema`` and
       ``to_jsonable()``, and the entry's file name;
     * ``to_jsonable()`` — the canonical JSON form of the spec;
-    * ``execute()`` — computes the result (the runner calls it on a miss);
     * ``schema`` — a version token, read at call time, that every entry
       records; bumping it orphans (never corrupts) old entries;
     * ``encode_result(result)`` / ``decode_result(payload)`` — the codec
       between a result and the entry's JSON.
 
-    :class:`JobSpec` (simulations) and
-    :class:`~repro.experiments.matrix.AttackCellSpec` (attack-matrix cells)
-    are the two jobs; both also carry the manifest fields :class:`JobRecord`
-    reads (``benchmark``, ``level``, ``machine``, ``cores``,
-    ``num_requests``, ``seed``).
+    A *job* is such a spec that also has ``execute()``, which computes the
+    result (the runner calls it on a miss).  :class:`JobSpec`
+    (simulations) and :class:`~repro.experiments.matrix.AttackCellSpec`
+    (attack-matrix cells) are the two jobs; both also carry the manifest
+    fields :class:`JobRecord` reads (``benchmark``, ``level``, ``machine``,
+    ``cores``, ``num_requests``, ``seed``).  The trace specs of
+    :mod:`repro.experiments.trace_cache` are stored but never executed.
 
-    One JSON file per job digest under ``directory``.  Every entry embeds
-    the schema token and the full spec it was computed from, so a load
-    only succeeds when both match — hash collisions, stale schema versions
-    and corrupted files all degrade to a cache miss, never to a wrong or
-    crashing result.  Durability and LRU byte-budget eviction come from
-    :class:`JsonFileCache`.
+    One JSON file per digest under ``directory``.  Every entry embeds the
+    schema token and the full spec it was computed from, so a load only
+    succeeds when both match — hash collisions, stale schema versions and
+    corrupted files all degrade to a cache miss, never to a wrong or
+    crashing result; so does any failure of ``decode_result``.  Durability
+    and LRU byte-budget eviction come from :class:`JsonFileCache`.
     """
 
     def path_for(self, spec) -> Path:
-        """Where this job's result lives (whether or not it exists yet)."""
+        """Where this spec's entry lives (whether or not it exists yet)."""
         return self.directory / f"{spec.digest()}.json"
 
     def get(self, spec):
@@ -566,7 +567,7 @@ class ResultCache(JsonFileCache):
             return None
         try:
             result = spec.decode_result(payload["result"])
-        except (ValueError, KeyError, TypeError):
+        except Exception:  # any damaged body is a miss, whatever the codec
             return None
         self.touch(path)
         return result
@@ -698,7 +699,7 @@ class RunManifest:
                 stats={str(k): float(v) for k, v in payload.get("stats", {}).items()},
                 warnings=[str(w) for w in payload.get("warnings", [])],
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
 
 

@@ -19,10 +19,15 @@ The execution surface is configured once per process::
     print(runner.runtime_stats())  # {'runner.memory_hits': ..., ...}
 
 or from any experiment CLI / ``python -m repro experiments`` via
-``--workers N``, ``--no-cache`` and ``--cache-dir PATH`` (environment
-equivalents: ``REPRO_WORKERS``, ``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``).
-Each :func:`prefetch` sweep records a run manifest; with the disk cache
-enabled it is written under ``<cache-dir>/manifests/<label>.json``.
+``--workers N``, ``--no-cache``, ``--cache-dir PATH`` and
+``--cache-bytes N`` (environment equivalents: ``REPRO_WORKERS``,
+``REPRO_NO_CACHE``, ``REPRO_CACHE_DIR``, ``REPRO_CACHE_BYTES``).  This
+config is the process's only cache config: front-end traces
+(:func:`repro.experiments.trace_cache.cached_trace`) take their store
+from :func:`disk_cache` too, so results and traces share one directory
+and one byte budget.  Each :func:`prefetch` sweep records a run manifest;
+with the disk cache enabled it is written under
+``<cache-dir>/manifests/<label>.json``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from pathlib import Path
 
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.errors import ConfigurationError
-from repro.experiments import trace_cache
 from repro.experiments.executor import (
     CACHE_BYTES_ENV,
     CACHE_DIR_ENV,
@@ -98,17 +102,12 @@ def _config_from_env() -> RunnerConfig:
 _config = _config_from_env()
 
 
-def _sync_trace_cache() -> None:
-    """Push the runner's cache settings onto the front-end trace cache.
+def _clear_trace_memo() -> None:
+    """Forget memoized traces, so the next lookup reads the new store."""
+    # Imported lazily: trace_cache takes its store from this module.
+    from repro.experiments import trace_cache
 
-    Result and trace entries live in one directory under one byte budget,
-    so a single set of flags (``--no-cache``/``--cache-dir``/
-    ``--cache-bytes``) must govern both stores.
-    """
-    trace_cache.sync(_config.cache_enabled, _config.cache_dir, _config.cache_bytes)
-
-
-_sync_trace_cache()
+    trace_cache.clear_memo()
 
 
 def configure(
@@ -122,6 +121,7 @@ def configure(
 
     ``cache_bytes`` accepts a negative value to mean "back to unbounded"
     (None is the leave-unchanged sentinel shared by every parameter).
+    Every call also clears the in-process trace memo.
     """
     if workers is not None:
         _config.workers = max(1, int(workers))
@@ -133,7 +133,7 @@ def configure(
         _config.cache_bytes = None if cache_bytes < 0 else int(cache_bytes)
     if profile is not None:
         _config.profile = bool(profile)
-    _sync_trace_cache()
+    _clear_trace_memo()
     return _config
 
 
@@ -146,12 +146,12 @@ def reset_config() -> RunnerConfig:
     """Re-derive the runner config from the environment (mainly for tests)."""
     global _config
     _config = _config_from_env()
-    _sync_trace_cache()
+    _clear_trace_memo()
     return _config
 
 
-def _disk_cache() -> ResultCache | None:
-    """The persistent cache per current config, or None when disabled."""
+def disk_cache() -> ResultCache | None:
+    """The persistent store per current config, or None when disabled."""
     if not _config.cache_enabled:
         return None
     return ResultCache(_config.cache_dir, max_bytes=_config.cache_bytes)
@@ -203,7 +203,7 @@ def cached_run(
 def _parallel(workers: int) -> ParallelRunner:
     """A runner over this process's two cache layers and counters."""
     return ParallelRunner(
-        workers=workers, cache=_disk_cache(), memory=_cache, stats=_stats
+        workers=workers, cache=disk_cache(), memory=_cache, stats=_stats
     )
 
 

@@ -1,4 +1,4 @@
-"""Persistent, content-addressed cache of front-end traces.
+"""Front-end trace specs, stored in the runner's one result store.
 
 Producing a trace is the front end of every full-stack run: synthetic
 generation (:func:`repro.cpu.generator.make_trace`) for the SPEC
@@ -8,31 +8,30 @@ kernels.  Both are pure functions of a small spec — so repeated jobs (the
 common case for the serve layer, which replays the same benchmarks at many
 protection levels) can skip the front end entirely.
 
-This module stores those traces next to the simulation results, reusing
-the :class:`~repro.experiments.executor.JsonFileCache` machinery:
+Traces live in the same :class:`~repro.experiments.executor.ResultCache`
+as simulation results.  Each trace spec carries the store half of the job
+protocol documented there:
 
-* entries are ``trace-<digest>.json`` files, content-addressed by a
-  schema-versioned digest of the full trace spec (benchmark/seed or
-  kernel/params/hierarchy config), and validated on load by echoing the
-  spec — corruption, hash collisions and schema skew degrade to a miss;
-* traces are stored in the lossless JSON form of
-  :meth:`repro.cpu.trace.Trace.to_jsonable`, so a cached trace is
-  bit-identical to a freshly generated one (floats round-trip exactly);
-* entries share the result cache's directory and therefore its LRU byte
-  budget — ``--cache-dir``/``--cache-bytes`` govern both kinds, and
-  ``--no-cache`` disables both (:func:`repro.experiments.runner.configure`
-  keeps this module's process-wide config in sync).
+* ``digest()`` — a hash of :data:`TRACE_SCHEMA_VERSION`, the spec kind and
+  the full spec (benchmark/seed or kernel/params/hierarchy config), which
+  names the entry ``<digest>.json``;
+* ``to_jsonable()`` — the spec echo every entry embeds, so corruption,
+  hash collisions and schema skew degrade to a miss;
+* ``schema`` — :data:`TRACE_SCHEMA_VERSION`, read at call time;
+* ``encode_result``/``decode_result`` — :meth:`Trace.to_jsonable
+  <repro.cpu.trace.Trace.to_jsonable>` and :meth:`Trace.from_jsonable
+  <repro.cpu.trace.Trace.from_jsonable>`, which round-trip floats
+  exactly, so a cached trace is bit-identical to a freshly generated one.
 
-Sharing one directory also means sharing it *across processes*: every
-persistent serve worker, the supervisor and any concurrent CLI sweep may
-read, write and evict the same store at once.  That is safe by
-construction — writes are atomic (write-then-rename) and byte-budget
-eviction is serialized by the base class's single-evictor ``flock``
-lease (:attr:`~repro.experiments.executor.JsonFileCache.EVICTOR_LEASE_NAME`),
-so concurrent evictors never double-unlink or over-evict; a process that
-loses the lease race simply skips eviction until its next write.
+A trace spec has no ``execute``: the runner never runs one as a job.
+:meth:`~SyntheticTraceSpec.build` is the miss path of :func:`cached_trace`.
+The store comes from :mod:`repro.experiments.runner`'s config — the only
+cache config — so ``--no-cache``/``--cache-dir``/``--cache-bytes`` (and
+their ``REPRO_*`` variables) govern traces and results alike, and both
+share one directory, one LRU byte budget and, across processes, the
+store's atomic writes and single-evictor ``flock`` lease.
 
-In front of the persistent store sits a small always-on in-process memo
+In front of the store sits a small always-on in-process memo
 (:data:`MEMO_MAX_ENTRIES` traces, LRU): a design-space sweep replays the
 same trace under every scheme and machine configuration, and re-reading —
 let alone regenerating — it per job dominated front-end cost.  Traces are
@@ -45,9 +44,6 @@ ratio in ``/metrics``.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import threading
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,15 +54,9 @@ from repro.cpu.kernels import KERNELS, trace_through_hierarchy
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.cpu.trace import Trace
 from repro.crypto.rng import DeterministicRng
-from repro.errors import ConfigurationError, TraceError
-from repro.experiments.executor import (
-    CACHE_BYTES_ENV,
-    CACHE_DIR_ENV,
-    DEFAULT_CACHE_DIR,
-    NO_CACHE_ENV,
-    JsonFileCache,
-    _jsonable,
-)
+from repro.errors import ConfigurationError
+from repro.experiments import runner
+from repro.experiments.executor import _jsonable, content_digest
 from repro.mem.hierarchy import HierarchyConfig
 
 #: Bumped whenever trace generation or the entry format changes in a way
@@ -75,15 +65,27 @@ from repro.mem.hierarchy import HierarchyConfig
 TRACE_SCHEMA_VERSION = 1
 
 
-def _digest(kind: str, spec_jsonable: dict) -> str:
-    """Content hash of one trace spec plus the trace schema version."""
-    payload = {"schema": TRACE_SCHEMA_VERSION, "kind": kind, "spec": spec_jsonable}
-    encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+class _StoredTrace:
+    """The store half of the job protocol, shared by both trace spec kinds."""
+
+    #: The :class:`~repro.experiments.executor.ResultCache` codec for a trace.
+    encode_result = staticmethod(Trace.to_jsonable)
+    decode_result = staticmethod(Trace.from_jsonable)
+
+    @property
+    def schema(self) -> int:
+        """Store schema token, read from :data:`TRACE_SCHEMA_VERSION` per call."""
+        return TRACE_SCHEMA_VERSION
+
+    def digest(self) -> str:
+        """Content hash identifying this spec's store entry."""
+        return content_digest(
+            {"schema": self.schema, "kind": self.kind, "spec": self.to_jsonable()}
+        )
 
 
 @dataclass(frozen=True)
-class SyntheticTraceSpec:
+class SyntheticTraceSpec(_StoredTrace):
     """One synthetic benchmark trace, as :func:`repro.system.run_benchmark`
     builds it: a profile name, a request count and the generator seed."""
 
@@ -91,7 +93,7 @@ class SyntheticTraceSpec:
     num_requests: int
     seed: int
 
-    #: Spec kind tag, part of the digest and the stored entry.
+    #: Spec kind tag, part of the digest.
     kind: ClassVar[str] = "synthetic"
 
     def __post_init__(self) -> None:
@@ -110,10 +112,6 @@ class SyntheticTraceSpec:
             "seed": self.seed,
         }
 
-    def digest(self) -> str:
-        """Content hash identifying this spec's cache entry."""
-        return _digest(self.kind, self.to_jsonable())
-
     def build(self) -> Trace:
         """Generate the trace (the cache-miss path)."""
         return make_trace(
@@ -122,7 +120,7 @@ class SyntheticTraceSpec:
 
 
 @dataclass(frozen=True)
-class KernelTraceSpec:
+class KernelTraceSpec(_StoredTrace):
     """One application-kernel trace: a registered kernel filtered through a
     cache hierarchy, as :func:`repro.cpu.kernels.trace_through_hierarchy`
     produces it.
@@ -141,7 +139,7 @@ class KernelTraceSpec:
     core_id: int = 0
     seed: int | None = None
 
-    #: Spec kind tag, part of the digest and the stored entry.
+    #: Spec kind tag, part of the digest.
     kind: ClassVar[str] = "kernel"
 
     def __post_init__(self) -> None:
@@ -191,10 +189,6 @@ class KernelTraceSpec:
             "seed": self.seed,
         }
 
-    def digest(self) -> str:
-        """Content hash identifying this spec's cache entry."""
-        return _digest(self.kind, self.to_jsonable())
-
     def build(self) -> Trace:
         """Run the kernel through the hierarchy (the cache-miss path)."""
         kwargs: dict = dict(self.params)
@@ -214,79 +208,6 @@ class KernelTraceSpec:
 #: Either trace spec kind (they share the digest/build/to_jsonable shape).
 TraceSpec = SyntheticTraceSpec | KernelTraceSpec
 
-
-class TraceCache(JsonFileCache):
-    """Content-addressed persistent store of front-end traces.
-
-    Entries are ``trace-<digest>.json`` files holding the schema version,
-    the spec echo and the lossless JSON trace.  The cache is designed to
-    share its directory with a :class:`~repro.experiments.executor.ResultCache`
-    — the inherited eviction machinery walks every ``*.json`` entry, so
-    results and traces compete inside one LRU byte budget.
-    """
-
-    def path_for(self, spec: TraceSpec) -> Path:
-        """Where this spec's trace lives (whether or not it exists yet)."""
-        return self.directory / f"trace-{spec.digest()}.json"
-
-    def get(self, spec: TraceSpec) -> Trace | None:
-        """The cached trace for ``spec``, or None on any miss or damage."""
-        path = self.path_for(spec)
-        payload = self.read_json(path)
-        if payload is None or payload.get("schema") != TRACE_SCHEMA_VERSION:
-            return None
-        if payload.get("kind") != spec.kind:
-            return None
-        if payload.get("spec") != spec.to_jsonable():
-            return None
-        try:
-            trace = Trace.from_jsonable(payload["trace"])
-        except (TraceError, KeyError, TypeError, ValueError):
-            return None
-        self.touch(path)
-        return trace
-
-    def put(self, spec: TraceSpec, trace: Trace) -> Path:
-        """Persist ``trace`` for ``spec``; returns the entry's path."""
-        payload = {
-            "schema": TRACE_SCHEMA_VERSION,
-            "kind": spec.kind,
-            "spec": spec.to_jsonable(),
-            "trace": trace.to_jsonable(),
-        }
-        return self.write_json(self.path_for(spec), payload)
-
-
-@dataclass
-class TraceCacheConfig:
-    """Process-wide trace-cache settings (mirrors the runner's cache flags)."""
-
-    enabled: bool = True
-    directory: Path = DEFAULT_CACHE_DIR
-    #: LRU byte budget shared with co-located result entries; None unbounded.
-    max_bytes: int | None = None
-
-
-def _config_from_env() -> TraceCacheConfig:
-    """Initial config from the ``REPRO_*`` cache environment variables.
-
-    The same variables govern the result cache
-    (:mod:`repro.experiments.runner` reads them for its own config), so a
-    bare process — a forked serve child, a cross-process CI check — agrees
-    with a configured one about where traces live and whether to cache.
-    """
-    try:
-        max_bytes = int(os.environ[CACHE_BYTES_ENV])
-    except (KeyError, ValueError):
-        max_bytes = None
-    return TraceCacheConfig(
-        enabled=not os.environ.get(NO_CACHE_ENV),
-        directory=Path(os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)),
-        max_bytes=max_bytes,
-    )
-
-
-_config = _config_from_env()
 _lock = threading.Lock()
 _hits = 0
 _misses = 0
@@ -328,48 +249,16 @@ def configure(
     enabled: bool | None = None,
     directory: str | Path | None = None,
     max_bytes: int | None = None,
-) -> TraceCacheConfig:
-    """Update the process-wide trace-cache config; None leaves a field as is.
+) -> runner.RunnerConfig:
+    """Forward to :func:`repro.experiments.runner.configure`.
 
-    ``max_bytes`` accepts a negative value to mean "back to unbounded"
-    (None is the leave-unchanged sentinel, as in
-    :func:`repro.experiments.runner.configure`).
+    Traces have no cache config of their own; this spelling maps
+    ``enabled``/``directory``/``max_bytes`` onto the runner's
+    ``cache_enabled``/``cache_dir``/``cache_bytes``.
     """
-    if enabled is not None:
-        _config.enabled = bool(enabled)
-    if directory is not None:
-        _config.directory = Path(directory)
-    if max_bytes is not None:
-        _config.max_bytes = None if max_bytes < 0 else int(max_bytes)
-    return _config
-
-
-def sync(enabled: bool, directory: str | Path, max_bytes: int | None) -> None:
-    """Overwrite every setting at once (the runner pushes its config here)."""
-    _config.enabled = bool(enabled)
-    _config.directory = Path(directory)
-    _config.max_bytes = max_bytes if max_bytes is None else max(0, int(max_bytes))
-    clear_memo()
-
-
-def get_config() -> TraceCacheConfig:
-    """The live process-wide trace-cache config."""
-    return _config
-
-
-def reset_config() -> TraceCacheConfig:
-    """Re-derive the config from the environment (mainly for tests)."""
-    global _config
-    _config = _config_from_env()
-    clear_memo()
-    return _config
-
-
-def active_cache() -> TraceCache | None:
-    """The trace cache per current config, or None when caching is off."""
-    if not _config.enabled:
-        return None
-    return TraceCache(_config.directory, max_bytes=_config.max_bytes)
+    return runner.configure(
+        cache_enabled=enabled, cache_dir=directory, cache_bytes=max_bytes
+    )
 
 
 def counters() -> tuple[int, int]:
@@ -396,12 +285,12 @@ def _count(hit: bool) -> None:
 
 
 def cached_trace(spec: TraceSpec) -> Trace:
-    """Resolve one trace spec through the memo and cache tiers.
+    """Resolve one trace spec through the memo and the result store.
 
     Two tiers, checked in order: a small in-process memo (always on — a
     sweep replays the same trace under many schemes and machine configs,
     and rebuilding or re-reading it per job dominated front-end cost), then
-    the persistent on-disk store when caching is enabled.  A hit in either
+    the runner's persistent store when caching is enabled.  A hit in either
     tier counts toward :func:`counters`; with ``--no-cache`` only rebuilds
     the memo cannot absorb are counted as misses, so hit-ratio metrics
     still reflect front-end work actually skipped.
@@ -411,17 +300,17 @@ def cached_trace(spec: TraceSpec) -> Trace:
     if trace is not None:
         _count(hit=True)
         return trace
-    cache = active_cache()
-    if cache is not None:
-        trace = cache.get(spec)
+    store = runner.disk_cache()
+    if store is not None:
+        trace = store.get(spec)
         if trace is not None:
             _count(hit=True)
             _memo_put(digest, trace)
             return trace
     _count(hit=False)
     trace = spec.build()
-    if cache is not None:
-        cache.put(spec, trace)
+    if store is not None:
+        store.put(spec, trace)
     _memo_put(digest, trace)
     return trace
 

@@ -36,9 +36,14 @@ sentinels and a wake pipe) through :func:`multiprocessing.connection.wait`.
 Callbacks fire on the supervisor thread — the service bridges them onto
 its event loop with ``run_coroutine_threadsafe``.
 
-Shared-cache safety: every worker writes the same result/trace cache
-directory.  Entry writes are atomic (write-then-rename) and byte-budget
-eviction is serialized by the cache's single-evictor ``flock`` lease (see
+Shared-cache safety: every worker writes the same cache directory —
+results and traces through one
+:class:`~repro.experiments.executor.ResultCache`, snapshots through a
+:class:`~repro.experiments.checkpoints.CheckpointStore`.  Each worker
+points its process's :mod:`repro.experiments.runner` config at that
+directory once at start, so its front-end traces land there too.  Entry
+writes are atomic (write-then-rename) and byte-budget eviction is
+serialized by the single-evictor ``flock`` lease (see
 :class:`~repro.experiments.executor.JsonFileCache`), so N workers can
 evict concurrently without double-unlinking or corrupting entries.
 """
@@ -52,14 +57,9 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 
-from repro.experiments import trace_cache
+from repro.experiments import runner, trace_cache
 from repro.experiments.checkpoints import CheckpointStore, world_for_spec
-from repro.experiments.executor import (
-    DEFAULT_CACHE_DIR,
-    _fork_context,
-    ResultCache,
-    result_to_jsonable,
-)
+from repro.experiments.executor import _fork_context, result_to_jsonable
 from repro.serve.jobs import Job
 
 #: Kernel events between wall-clock budget checks while a budgeted job
@@ -115,10 +115,13 @@ def _simulate_sliced(spec, store, budget_s):
 def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     """Entry point of one persistent worker process.
 
-    Loops forever: receive ``("run", job_id, spec, budget_s)``, resolve it
-    through the shared on-disk cache or a fresh simulation (counting
-    kernel events and trace-cache hits), persist a fresh result, and
-    reply with one of::
+    First points this process's :mod:`repro.experiments.runner` config at
+    ``cache_dir`` (disabled when None), so results and the traces
+    :func:`~repro.experiments.trace_cache.cached_trace` builds share one
+    store.  Then loops forever: receive ``("run", job_id, spec,
+    budget_s)``, resolve it through the shared on-disk cache or a fresh
+    simulation (counting kernel events and trace-cache hits), persist a
+    fresh result, and reply with one of::
 
         ("ok", job_id, source, result_json, wall_ms,
          events, trace_hits, trace_misses, ckpt_hits, ckpt_misses)
@@ -132,15 +135,14 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     worker never exits on a job failure: exceptions travel back as
     ``error`` replies.
     """
-    trace_cache.sync(
-        enabled=cache_dir is not None,
-        directory=cache_dir or DEFAULT_CACHE_DIR,
-        max_bytes=cache_bytes,
+    runner.configure(
+        cache_enabled=cache_dir is not None,
+        cache_dir=cache_dir,
+        cache_bytes=-1 if cache_bytes is None else max(0, cache_bytes),
     )
-    cache = None
+    cache = runner.disk_cache()
     store = None
     if cache_dir is not None:
-        cache = ResultCache(cache_dir, max_bytes=cache_bytes)
         store = CheckpointStore(cache_dir, max_bytes=cache_bytes)
     while True:
         try:

@@ -7,7 +7,10 @@ and then executes job after job), a :class:`~repro.serve.jobs.JobBoard`
 of every accepted job, and one
 :class:`~repro.experiments.executor.ParallelRunner` used as the cache
 front (shared in-memory result dict + persistent
-:class:`~repro.experiments.executor.ResultCache`).
+:class:`~repro.experiments.executor.ResultCache`).  The service process
+only probes finished results; it never builds a trace, so it leaves the
+process-wide :mod:`repro.experiments.runner` config alone — each pool
+worker points that config at the service's cache directory instead.
 
 Admission queues with backpressure: :meth:`submit` accepts a job — which
 is then *never* dropped; it always reaches a terminal state — until the
@@ -50,7 +53,6 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.experiments import trace_cache
 from repro.experiments.executor import (
     DEFAULT_CACHE_DIR,
     JobSpec,
@@ -140,14 +142,6 @@ class SimulationService:
             cache = ResultCache(
                 self.config.cache_dir, max_bytes=self.config.cache_bytes
             )
-        # The front-end trace cache shares the result cache's directory and
-        # byte budget; worker processes configure the same cache, so
-        # repeated jobs skip trace generation entirely.
-        trace_cache.sync(
-            enabled=self.config.cache_dir is not None,
-            directory=self.config.cache_dir or DEFAULT_CACHE_DIR,
-            max_bytes=self.config.cache_bytes,
-        )
         self.runner = ParallelRunner(workers=1, cache=cache)
         self.board: JobBoard | None = None
         self.stats = StatRegistry()

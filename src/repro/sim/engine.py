@@ -46,8 +46,8 @@ class _FiredSentinel:
     (``None``) by identity.  A bare ``object()`` would lose that identity
     through pickling, so checkpointed engines use this class: ``__new__``
     always hands back the module singleton and ``__reduce__`` pickles to a
-    call of the class, making ``is _FIRED`` survive snapshot/restore even
-    across processes.
+    call of the class, making ``is _FIRED`` survive a pickle round trip
+    even across processes.
     """
 
     __slots__ = ()
@@ -329,17 +329,17 @@ class Engine:
         """Number of not-yet-cancelled events still queued (O(1))."""
         return self._live
 
-    # -- checkpoint protocol ------------------------------------------------
+    # -- pickling ---------------------------------------------------------
     #
-    # The engine may only be snapshotted *between* events (not from inside a
-    # callback); everything that defines future behaviour — the heap, the
-    # clock, the sequence counter, the live count — round-trips.  The
-    # instrument hook is deliberately dropped: it is process-local
-    # observability (a profiler counter), re-attached from
-    # ``default_instrument`` on restore.  Pickling an engine as part of a
-    # larger object graph uses the same state, so heap entries shared with
+    # Checkpoints pickle the whole simulation graph (``SimWorld.snapshot``)
+    # and the engine travels inside it.  It may only be pickled *between*
+    # events (not from inside a callback); everything that defines future
+    # behaviour — the heap, the clock, the sequence counter, the live count
+    # — round-trips.  The instrument hook is deliberately dropped: it is
+    # process-local observability (a profiler counter), re-attached from
+    # ``default_instrument`` on unpickling.  Heap entries shared with
     # component-held references (e.g. the channel scheduler's wakeup entry)
-    # keep their identity through one combined dump.
+    # keep their identity through the one combined dump.
 
     def __getstate__(self) -> dict:
         if self._running:
@@ -360,17 +360,3 @@ class Engine:
         self._live = state["live"]
         self._instrument = type(self).default_instrument
         self.events_executed = state["events_executed"]
-
-    def snapshot(self) -> dict:
-        """Serializable engine state (heap + clock + counters).
-
-        The outer heap list is copied so later scheduling does not mutate
-        the snapshot's spine; the entries themselves are shared (they are
-        frozen in place once fired, and pickling deep-copies them anyway).
-        """
-        state = self.__getstate__()
-        return {**state, "queue": list(state["queue"])}
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot`; the engine continues bit-identically."""
-        self.__setstate__({**state, "queue": list(state["queue"])})

@@ -45,34 +45,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.samples if self.samples else 0.0
 
-    # -- checkpoint protocol ------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable distribution state (buckets copied out)."""
-        return {
-            "samples": self.samples,
-            "total": self.total,
-            "minimum": self.minimum,
-            "maximum": self.maximum,
-            "bucket_width": self.bucket_width,
-            "buckets": dict(self.buckets),
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` *in place*.
-
-        The bucket mapping is mutated rather than rebound, so hot-path
-        bindings from :meth:`StatGroup.live_histogram` keep observing the
-        restored distribution.
-        """
-        self.samples = state["samples"]
-        self.total = state["total"]
-        self.minimum = state["minimum"]
-        self.maximum = state["maximum"]
-        self.bucket_width = state["bucket_width"]
-        self.buckets.clear()
-        self.buckets.update(state["buckets"])
-
 
 class StatGroup:
     """A named set of counters and histograms owned by one component."""
@@ -141,42 +113,6 @@ class StatGroup:
         denom = self.get(denominator)
         return self.get(numerator) / denom if denom else 0.0
 
-    # -- checkpoint protocol ------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable group state: counters and histogram snapshots."""
-        return {
-            "name": self.name,
-            "counters": dict(self._counters),
-            "histograms": {
-                name: histogram.snapshot()
-                for name, histogram in self._histograms.items()
-            },
-        }
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` *in place*.
-
-        The live counter mapping handed out by :meth:`counters` is mutated,
-        never rebound, so components holding hot-path bindings keep writing
-        into the restored state.  Histograms recorded after the snapshot
-        are dropped (they did not exist then); surviving ones are restored
-        through :meth:`Histogram.restore`, again preserving identity.
-        """
-        self.name = state["name"]
-        self._counters.clear()
-        self._counters.update(state["counters"])
-        saved = state["histograms"]
-        for name in [key for key in self._histograms if key not in saved]:
-            del self._histograms[name]
-        for name, histogram_state in saved.items():
-            existing = self._histograms.get(name)
-            if existing is None:
-                existing = self._histograms[name] = Histogram(
-                    histogram_state["bucket_width"]
-                )
-            existing.restore(histogram_state)
-
 
 class StatRegistry:
     """All stat groups of a simulated system."""
@@ -203,21 +139,3 @@ class StatRegistry:
     def groups(self) -> list[StatGroup]:
         """All stat groups registered so far."""
         return list(self._groups.values())
-
-    # -- checkpoint protocol ------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Serializable registry state: every group's snapshot, by name."""
-        return {name: group.snapshot() for name, group in self._groups.items()}
-
-    def restore(self, state: dict) -> None:
-        """Reinstate a :meth:`snapshot` *in place* (group identity preserved).
-
-        Groups created after the snapshot are dropped; groups present in
-        both are restored through :meth:`StatGroup.restore`, so component
-        references to their group objects stay valid.
-        """
-        for name in [key for key in self._groups if key not in state]:
-            del self._groups[name]
-        for name, group_state in state.items():
-            self.group(name).restore(group_state)

@@ -23,14 +23,6 @@ class TestStateRoundTrip:
         twin.setstate(state)
         assert twin.token_bytes(16) == source.token_bytes(16)
 
-    def test_snapshot_restore_aliases(self):
-        rng = DeterministicRng(5)
-        rng.gauss(0.0, 1.0)
-        snap = rng.snapshot()
-        expected = rng.random()
-        rng.restore(snap)
-        assert rng.random() == expected
-
     def test_state_survives_pickle(self):
         """Checkpoint blobs carry rng states across processes as pickles."""
         rng = DeterministicRng(2017)

@@ -126,6 +126,22 @@ class TestCachedResultSchema:
         path.write_text(json.dumps({"schema": CACHE_SCHEMA_VERSION}))
         assert cache.get(job) is None  # well-formed but missing fields
 
+    def test_damaged_result_body_is_a_miss_not_a_crash(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        job = spec(3)
+        result = job.execute()
+        path = cache.put(job, result)
+        payload = json.loads(path.read_text())
+        for body in (
+            {**payload["result"], "stats": []},
+            {**payload["result"], "channels": None},
+            [],
+        ):
+            path.write_text(json.dumps({**payload, "result": body}))
+            assert cache.get(job) is None
+        cache.put(job, result)  # a fresh put repairs the entry
+        assert cache.get(job) == result
+
 
 class TestManifestSchema:
     def manifest(self) -> RunManifest:
@@ -172,4 +188,6 @@ class TestManifestSchema:
         assert RunManifest.load(path) is None
         path.write_text(json.dumps({"schema": MANIFEST_SCHEMA_VERSION}))
         assert RunManifest.load(path) is None  # fields missing
+        path.write_text(json.dumps([MANIFEST_SCHEMA_VERSION]))
+        assert RunManifest.load(path) is None  # array root, not an object
         assert RunManifest.load(tmp_path / "never-written.json") is None

@@ -10,8 +10,9 @@ two guarantees must hold across processes, not just threads:
   most one process walks/unlinks entries at a time, so concurrent
   byte-budget enforcement never double-evicts or crashes.
 
-The hammer test forks two children (one result lane, one trace lane)
-against a shared tightly-budgeted directory; the checkpoint race forks
+The hammer test forks two children (one result lane, one trace lane,
+both writing through :class:`ResultCache`) against a shared
+tightly-budgeted directory; the checkpoint race forks
 two lanes of one snapshot *family* so every ``put``'s family pruning
 unlinks entries the other lane is writing; the lease tests pin the
 flock protocol directly with a second process holding the lease.
@@ -35,11 +36,7 @@ from repro.experiments.executor import (
     RunResult,
     _fork_context,
 )
-from repro.experiments.trace_cache import (
-    TRACE_SCHEMA_VERSION,
-    SyntheticTraceSpec,
-    TraceCache,
-)
+from repro.experiments.trace_cache import TRACE_SCHEMA_VERSION, SyntheticTraceSpec
 from repro.system.config import ProtectionLevel
 
 try:
@@ -82,7 +79,7 @@ def _hammer_results(directory, budget, rounds):
 
 def _hammer_traces(directory, budget, rounds):
     """Child lane: put/get trace entries against the shared store."""
-    cache = TraceCache(directory, max_bytes=budget)
+    cache = ResultCache(directory, max_bytes=budget)
     template = trace_spec(0).build()  # one generation, reused per put
     for i in range(rounds):
         cache.put(trace_spec(i % SEEDS_PER_LANE), template)
@@ -166,11 +163,10 @@ class TestConcurrentHammer:
         context = _context()
         # A budget around four entries keeps eviction constantly active
         # while both lanes write: size one entry of each kind first.
-        probe_results = ResultCache(tmp_path)
-        probe_results.put(result_spec(0), result_spec(0).execute())
-        probe_traces = TraceCache(tmp_path)
-        probe_traces.put(trace_spec(0), trace_spec(0).build())
-        budget = 2 * probe_results.size_bytes()
+        probe = ResultCache(tmp_path)
+        probe.put(result_spec(0), result_spec(0).execute())
+        probe.put(trace_spec(0), trace_spec(0).build())
+        budget = 2 * probe.size_bytes()
 
         lanes = [
             context.Process(
@@ -190,15 +186,21 @@ class TestConcurrentHammer:
 
         # No scratch files leaked: every write-then-rename completed.
         assert list(tmp_path.glob("*.tmp")) == []
-        # Every surviving entry is whole and carries its schema stamp.
+        # Every surviving entry is whole and carries its kind's schema
+        # stamp; both kinds are plain <digest>.json files, so the payload
+        # (a trace body has records, a result body has stats) tells them
+        # apart.
         survivors = list(tmp_path.glob("*.json"))
         assert survivors, "the store should not have been evicted to empty"
         for path in survivors:
             payload = json.loads(path.read_text())
-            if path.name.startswith("trace-"):
+            if "records" in payload["result"]:
                 assert payload["schema"] == TRACE_SCHEMA_VERSION
+                assert set(payload["spec"]) == {"benchmark", "num_requests", "seed"}
             else:
                 assert payload["schema"] == CACHE_SCHEMA_VERSION
+                assert "stats" in payload["result"]
+        assert list(tmp_path.glob("trace-*.json")) == []
         # Once the dust settles one evict enforces the budget exactly.
         cache = JsonFileCache(tmp_path, max_bytes=budget)
         cache.evict()

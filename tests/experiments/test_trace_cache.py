@@ -1,10 +1,11 @@
 """Trace-cache tests: content addressing, damage tolerance, shared budget.
 
-The persistent trace cache lets repeated jobs skip the front end (trace
-generation / hierarchy filtering) entirely.  That is only safe if a warm
-hit is bit-identical to a cold build, every kind of on-disk damage
-degrades to a miss, ``--no-cache`` really bypasses it, and its entries
-share one LRU byte budget with the result cache they live next to.
+Front-end traces are stored in the runner's one result store, which lets
+repeated jobs skip the front end (trace generation / hierarchy filtering)
+entirely.  That is only safe if a warm hit is bit-identical to a cold
+build, every kind of on-disk damage degrades to a miss, ``--no-cache``
+really bypasses the store, and trace entries share one LRU byte budget
+with the result entries they live next to.
 """
 
 import json
@@ -26,7 +27,6 @@ from repro.experiments.trace_cache import (
     TRACE_SCHEMA_VERSION,
     KernelTraceSpec,
     SyntheticTraceSpec,
-    TraceCache,
 )
 from repro.errors import ConfigurationError
 from repro.mem.hierarchy import HierarchyConfig
@@ -37,11 +37,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(autouse=True)
 def isolated_trace_cache(tmp_path):
-    """Point the process-wide trace cache at a scratch dir for every test."""
-    trace_cache.sync(enabled=True, directory=tmp_path / "cache", max_bytes=None)
+    """Point the runner's cache config at a scratch dir for every test."""
+    runner.configure(cache_enabled=True, cache_dir=tmp_path / "cache", cache_bytes=-1)
     trace_cache.reset_counters()
     yield
-    trace_cache.reset_config()
+    runner.reset_config()
     trace_cache.reset_counters()
 
 
@@ -74,6 +74,15 @@ class TestSpecs:
         )
         assert base.digest() != narrow.digest()
 
+    def test_specs_carry_the_store_protocol(self):
+        spec = small_spec()
+        assert spec.schema == TRACE_SCHEMA_VERSION
+        assert not hasattr(spec, "execute")  # stored, never run as a job
+        built = spec.build()
+        assert spec.decode_result(spec.encode_result(built)).records == built.records
+        job = JobSpec("astar", ProtectionLevel.UNPROTECTED, num_requests=120, seed=3)
+        assert spec.digest() != job.digest()
+
     def test_invalid_specs_fail_fast(self):
         with pytest.raises(ConfigurationError):
             SyntheticTraceSpec("not-a-benchmark", 100, 1)
@@ -87,10 +96,10 @@ class TestSpecs:
 
 class TestTraceCacheStore:
     def test_round_trip_is_bit_identical(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = small_spec()
         built = spec.build()
-        cache.put(spec, built)
+        assert cache.put(spec, built).name == f"{spec.digest()}.json"
         loaded = cache.get(spec)
         assert loaded is not None
         assert loaded.name == built.name
@@ -98,7 +107,7 @@ class TestTraceCacheStore:
         assert loaded.records == built.records  # exact floats, exact flags
 
     def test_kernel_trace_round_trip(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = KernelTraceSpec.create(
             "random_lookup",
             hierarchy=HierarchyConfig(cores=1, l1_size=4 << 10, l3_size=64 << 10),
@@ -112,7 +121,7 @@ class TestTraceCacheStore:
         assert loaded.records == built.records
 
     def test_damage_degrades_to_a_miss(self, tmp_path):
-        cache = TraceCache(tmp_path)
+        cache = ResultCache(tmp_path)
         spec = small_spec()
         path = cache.put(spec, spec.build())
 
@@ -121,27 +130,31 @@ class TestTraceCacheStore:
 
         payload = {
             "schema": TRACE_SCHEMA_VERSION + 1,
-            "kind": spec.kind,
             "spec": spec.to_jsonable(),
-            "trace": spec.build().to_jsonable(),
+            "result": spec.build().to_jsonable(),
         }
         path.write_text(json.dumps(payload))
         assert cache.get(spec) is None  # schema skew
 
         payload["schema"] = TRACE_SCHEMA_VERSION
-        payload["kind"] = "kernel"
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None  # kind mismatch
-
-        payload["kind"] = spec.kind
-        payload["spec"] = SyntheticTraceSpec("astar", 120, 99).to_jsonable()
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None  # digest collision / spec echo mismatch
+        for foreign in (
+            SyntheticTraceSpec("astar", 120, 99),
+            KernelTraceSpec.create("sequential_scan", array_bytes=1 << 16),
+        ):
+            payload["spec"] = foreign.to_jsonable()
+            path.write_text(json.dumps(payload))
+            assert cache.get(spec) is None  # digest collision / spec echo mismatch
 
         payload["spec"] = spec.to_jsonable()
-        payload["trace"] = {"name": "x"}
-        path.write_text(json.dumps(payload))
-        assert cache.get(spec) is None  # malformed trace body
+        for body in (
+            {"name": "x"},  # no records
+            {"name": "x", "instructions_per_request": 1.0, "records": [[1.0, 64]]},
+            {"name": "x", "instructions_per_request": 1.0, "records": 5},
+            [],
+        ):
+            payload["result"] = body
+            path.write_text(json.dumps(payload))
+            assert cache.get(spec) is None  # malformed trace body
 
         cache.put(spec, spec.build())  # a fresh put repairs the entry
         assert cache.get(spec) is not None
@@ -156,7 +169,7 @@ class TestCachedTrace:
         assert trace_cache.counters() == (1, 1)
 
     def test_no_cache_bypasses_the_store(self, tmp_path):
-        trace_cache.sync(enabled=False, directory=tmp_path / "off", max_bytes=None)
+        runner.configure(cache_enabled=False, cache_dir=tmp_path / "off")
         spec = small_spec()
         first = trace_cache.cached_trace(spec)
         second = trace_cache.cached_trace(spec)
@@ -165,7 +178,7 @@ class TestCachedTrace:
         assert not (tmp_path / "off").exists()  # and nothing was written
 
     def test_memo_serves_repeats_and_clears(self, tmp_path):
-        trace_cache.sync(enabled=False, directory=tmp_path / "off", max_bytes=None)
+        runner.configure(cache_enabled=False, cache_dir=tmp_path / "off")
         spec = small_spec()
         first = trace_cache.cached_trace(spec)
         assert trace_cache.cached_trace(spec) is first
@@ -175,7 +188,7 @@ class TestCachedTrace:
         assert rebuilt.records == first.records
 
     def test_memo_is_bounded_lru(self, tmp_path):
-        trace_cache.sync(enabled=False, directory=tmp_path / "off", max_bytes=None)
+        runner.configure(cache_enabled=False, cache_dir=tmp_path / "off")
         specs = [small_spec(seed) for seed in range(trace_cache.MEMO_MAX_ENTRIES + 1)]
         built = [trace_cache.cached_trace(spec) for spec in specs]
         # The oldest entry was evicted; the newest survives.
@@ -197,22 +210,18 @@ class TestCachedTrace:
 
 
 class TestRunnerIntegration:
-    @pytest.fixture(autouse=True)
-    def restore_runner(self):
-        yield
-        runner.reset_config()
-        trace_cache.reset_config()
-
     def test_runner_configure_drives_the_trace_cache(self, tmp_path):
-        runner.configure(cache_enabled=True, cache_dir=tmp_path, cache_bytes=4096)
-        config = trace_cache.get_config()
-        assert config.enabled and config.directory == tmp_path
-        assert config.max_bytes == 4096
-        runner.configure(cache_enabled=False)
-        assert not trace_cache.get_config().enabled
+        spec = small_spec()
+        trace_cache.cached_trace(spec)  # built, stored and memoized
+        moved = tmp_path / "moved"
+        runner.configure(cache_dir=moved)
+        trace_cache.cached_trace(spec)  # configure cleared the memo
+        assert trace_cache.counters() == (0, 2)
+        assert (moved / f"{spec.digest()}.json").is_file()
+        assert ResultCache(moved).get(spec).records == spec.build().records
 
     def test_job_execute_is_identical_warm_and_cold(self, tmp_path):
-        trace_cache.sync(enabled=True, directory=tmp_path, max_bytes=None)
+        runner.configure(cache_enabled=True, cache_dir=tmp_path)
         spec = JobSpec(
             benchmark="astar",
             level=ProtectionLevel.UNPROTECTED,
@@ -229,39 +238,34 @@ class TestRunnerIntegration:
 class TestSharedEviction:
     def test_mixed_result_and_trace_entries_share_the_budget(self, tmp_path):
         """Regression: trace entries must participate in LRU eviction."""
-        results = ResultCache(tmp_path)
-        traces = TraceCache(tmp_path)
-        job = JobSpec(
-            benchmark="astar",
-            level=ProtectionLevel.UNPROTECTED,
-            num_requests=60,
-            seed=1,
+        store = ResultCache(tmp_path)
+        old_job, new_job = (
+            JobSpec(
+                benchmark="astar",
+                level=ProtectionLevel.UNPROTECTED,
+                num_requests=60,
+                seed=seed,
+            )
+            for seed in (1, 2)
         )
-        result_path = results.put(job, job.execute())
-        old_trace, new_trace = small_spec(1), small_spec(2)
-        old_path = traces.put(old_trace, old_trace.build())
-        total = results.size_bytes()
+        store.put(old_job, old_job.execute())
+        trace = small_spec(1)
+        trace_path = store.put(trace, trace.build())
+        total = store.size_bytes()
         assert total == sum(p.stat().st_size for p in tmp_path.glob("*.json"))
 
-        # Backdate the first trace far past the result entry, then give the
-        # directory a budget that forces exactly one eviction on write.
-        stamp = old_path.stat().st_mtime - 500.0
-        os.utime(old_path, (stamp, stamp))
-        new_bytes = len(
-            json.dumps(
-                {
-                    "schema": TRACE_SCHEMA_VERSION,
-                    "kind": new_trace.kind,
-                    "spec": new_trace.to_jsonable(),
-                    "trace": new_trace.build().to_jsonable(),
-                }
-            )
-        )
-        bounded = TraceCache(tmp_path, max_bytes=total + new_bytes)
-        bounded.put(new_trace, new_trace.build())
-        assert bounded.get(old_trace) is None  # LRU trace evicted
-        assert bounded.get(new_trace) is not None
-        assert results.get(job) is not None  # newer result survived
+        # Backdate the trace far past the result entry, then give the
+        # directory a budget that forces exactly one eviction when a second
+        # result is written.
+        stamp = trace_path.stat().st_mtime - 500.0
+        os.utime(trace_path, (stamp, stamp))
+        new_result = new_job.execute()
+        probe = ResultCache(tmp_path / "probe").put(new_job, new_result)
+        bounded = ResultCache(tmp_path, max_bytes=total + probe.stat().st_size - 1)
+        bounded.put(new_job, new_result)
+        assert bounded.get(trace) is None  # LRU trace evicted by a result write
+        assert bounded.get(old_job) is not None  # newer result survived
+        assert bounded.get(new_job) is not None
         assert bounded.size_bytes() <= bounded.max_bytes
 
     def test_result_entries_can_be_evicted_by_trace_pressure(self, tmp_path):
@@ -276,9 +280,9 @@ class TestSharedEviction:
         stamp = result_path.stat().st_mtime - 500.0
         os.utime(result_path, (stamp, stamp))
         spec = small_spec()
-        trace_path = TraceCache(tmp_path).put(spec, spec.build())
+        trace_path = results.put(spec, spec.build())
         # Budget for the trace alone: eviction must drop the older result.
-        bounded = TraceCache(tmp_path, max_bytes=trace_path.stat().st_size)
+        bounded = ResultCache(tmp_path, max_bytes=trace_path.stat().st_size)
         assert bounded.evict() == 1
         assert results.get(job) is None  # the stale result made room
         assert bounded.get(spec) is not None

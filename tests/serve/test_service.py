@@ -7,11 +7,12 @@ implements it.  The HTTP translation of the same behaviours is covered by
 """
 
 import asyncio
+import json
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import result_to_jsonable
+from repro.experiments.executor import ResultCache, result_to_jsonable
 from repro.serve.jobs import JobState
 from repro.serve.service import (
     ServeError,
@@ -97,6 +98,31 @@ class TestSubmitAndExecute:
                 await second.drain()
 
         run(scenario())
+
+    def test_damaged_cache_entry_is_resimulated(self, tmp_path):
+        """A parseable entry with a damaged result body is a miss, not a 500."""
+        spec = fast_jobspec()
+        direct = spec.execute()
+        path = ResultCache(tmp_path / "cache").put(spec, direct)
+        payload = json.loads(path.read_text())
+        payload["result"]["stats"] = []
+        path.write_text(json.dumps(payload))
+
+        async def scenario():
+            service = make_service(tmp_path)
+            await service.start()
+            try:
+                job = service.submit(spec)
+                assert await service.board.wait(job, timeout_s=60.0)
+                assert job.state is JobState.DONE
+                assert job.source == "simulated"
+                assert result_to_jsonable(job.result) == result_to_jsonable(direct)
+                assert service.metrics()["jobs_active"] == 0
+            finally:
+                await service.drain()
+
+        run(scenario())
+        assert ResultCache(tmp_path / "cache").get(spec) == direct  # repaired
 
     def test_duplicate_inflight_submissions_coalesce(self):
         async def scenario():
