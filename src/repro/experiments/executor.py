@@ -160,6 +160,9 @@ class JobSpec:
                 f"unknown benchmark {self.benchmark!r}; choose from {BENCHMARK_NAMES}"
             )
         resolve_scheme(self.level)  # unknown schemes fail fast, with a hint
+        for name in ("num_requests", "cores"):
+            if getattr(self, name) <= 0:
+                raise ConfigurationError(f"JobSpec {name} must be positive")
 
     #: The :class:`ResultCache` codec for this job's :class:`RunResult`.
     encode_result = staticmethod(result_to_jsonable)
@@ -315,7 +318,11 @@ def _dataclass_from_jsonable(cls, payload):
     kwargs = {
         name: _value_from_hint(hints[name], value) for name, value in payload.items()
     }
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as error:
+        # A validator compared a wrongly-typed wire value.
+        raise ConfigurationError(f"invalid {cls.__name__}: {error}") from None
 
 
 def spec_from_jsonable(payload: dict) -> JobSpec:
@@ -359,7 +366,7 @@ def spec_from_jsonable(payload: dict) -> JobSpec:
         if name in payload:
             try:
                 scalars[name] = caster(payload[name])
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise ConfigurationError(
                     f"JobSpec field {name!r} must be {caster.__name__}-like, "
                     f"got {payload[name]!r}"
@@ -410,7 +417,9 @@ class JsonFileCache:
         max_bytes: int | None = None,
     ):
         self.directory = Path(directory)
-        self.max_bytes = None if max_bytes is None else max(0, int(max_bytes))
+        # A negative budget means unbounded, as a missing one does.
+        unbounded = max_bytes is None or max_bytes < 0
+        self.max_bytes = None if unbounded else int(max_bytes)
 
     def read_json(self, path: Path) -> dict | None:
         """Parse one entry; None on absence, damage or a non-object root."""

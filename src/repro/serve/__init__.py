@@ -24,11 +24,12 @@ Start one::
 
     python -m repro serve --port 8787 --workers 4 --queue-depth 32
 
-and submit from anywhere::
+and submit from anywhere (the client keeps its connection open until
+``close()`` or the end of the ``with`` block)::
 
     from repro.serve.client import ServeClient
-    result = ServeClient(port=8787).run(
-        {"benchmark": "mcf", "level": "obfusmem_auth"})
+    with ServeClient(port=8787) as client:
+        result = client.run({"benchmark": "mcf", "level": "obfusmem_auth"})
 
 Operators: ``docs/serving.md`` is the deployment manual (worker sizing,
 API reference, the full ``/metrics`` key table, security notes).

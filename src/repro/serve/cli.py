@@ -2,9 +2,10 @@
 
 Runs the simulation service — a supervisor plus ``--workers`` persistent
 simulation worker processes — in the foreground until SIGTERM/SIGINT,
-then drains: admission stops (503), queued and running jobs finish (or
-are cancelled past the grace period), the pool is stopped, and the
-process exits 0.  Flags mirror the experiment runner's cache knobs so a
+then drains: the listener and idle client connections close, requests
+in progress are answered, queued and running jobs finish (or are
+cancelled past the grace period), the pool is stopped, and the process
+exits 0.  Flags mirror the experiment runner's cache knobs so a
 service and one-shot CLI runs can share one cache directory — a result
 simulated for a remote client makes the next ``repro table3`` a cache
 hit, and vice versa.  Worker processes share that same directory; their
@@ -109,8 +110,7 @@ async def serve_until_signalled(
     """Serve until SIGTERM/SIGINT, then drain gracefully."""
     service = SimulationService(config)
     await service.start()
-    server = await start_http_server(service, host=host, port=port)
-    bound_port = server.sockets[0].getsockname()[1]
+    api = await start_http_server(service, host=host, port=port)
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()
     for signum in (signal.SIGTERM, signal.SIGINT):
@@ -120,16 +120,16 @@ async def serve_until_signalled(
             pass
     cache = "disabled" if config.cache_dir is None else str(config.cache_dir)
     print(
-        f"repro.serve listening on http://{host}:{bound_port} "
+        f"repro.serve listening on http://{host}:{api.port} "
         f"(workers={config.workers}, queue-depth={config.queue_depth}, "
         f"cache={cache})",
         flush=True,
     )
     await stop.wait()
     print("repro.serve draining...", flush=True)
-    server.close()
-    await server.wait_closed()
+    api.close()
     await service.drain()
+    await api.wait_closed()
     print("repro.serve stopped.", flush=True)
 
 

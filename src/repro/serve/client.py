@@ -12,12 +12,14 @@ a well-behaved client must handle:
 Anything else — 400s from malformed specs, 404s, 503 while draining —
 raises immediately; retrying would not change the answer.
 
-Usage::
+Each thread that uses a client keeps one HTTP/1.1 connection open
+between calls; :meth:`ServeClient.close` (or leaving a ``with`` block)
+closes them.  Usage::
 
     from repro.serve.client import ServeClient
 
-    client = ServeClient("127.0.0.1", 8787)
-    result = client.run({"benchmark": "mcf", "level": "obfusmem_auth"})
+    with ServeClient("127.0.0.1", 8787) as client:
+        result = client.run({"benchmark": "mcf", "level": "obfusmem_auth"})
     print(result["execution_time_ns"])
 """
 
@@ -26,6 +28,7 @@ from __future__ import annotations
 import http.client
 import json
 import random
+import threading
 import time
 
 from repro.experiments.executor import JobSpec
@@ -73,8 +76,10 @@ class JobFailed(ClientError):
 class ServeClient:
     """Blocking HTTP client with exponential-backoff retries.
 
-    One instance per target service; instances keep no connection state
-    (the API is connection-per-request), so they are cheap and reusable.
+    One instance per target service.  Each calling thread gets its own
+    kept-alive connection, so two requests never interleave on one
+    socket; a ``Connection: close`` answer closes it and the next call
+    reconnects.  :meth:`close` closes every thread's connection.
     ``stats`` counts attempts and retries for load-generation reports.
     """
 
@@ -96,26 +101,68 @@ class ServeClient:
         self.backoff_cap_s = backoff_cap_s
         self._rng = rng or random.Random()
         self.stats = {"requests": 0, "retries_connect": 0, "retries_busy": 0}
+        #: Thread ident -> that thread's connection.  An ident is reused
+        #: only after its thread ended, so no connection is ever shared.
+        self._connections: dict[int, http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reconnects."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- transport -----------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (it connects on first use)."""
+        key = threading.get_ident()
+        connection = self._connections.get(key)
+        if connection is None:
+            connection = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout_s
+            )
+            with self._lock:
+                self._connections[key] = connection
+        return connection
+
     def _once(self, method: str, path: str, body: bytes | None):
-        """One HTTP exchange: ``(status, headers, decoded JSON payload)``."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout_s
-        )
+        """One HTTP exchange: ``(status, headers, decoded JSON payload)``.
+
+        A kept connection the server closed while it sat idle fails before
+        any response byte; the server then never saw the request, so it is
+        sent once more on a fresh connection.
+        """
+        connection = self._connection()
+        reused = connection.sock is not None
+        headers = {"Content-Type": "application/json"} if body else {}
         try:
-            headers = {"Content-Type": "application/json"} if body else {}
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            raw = response.read()
             try:
-                payload = json.loads(raw) if raw else None
-            except ValueError:
-                payload = {"error": raw.decode("utf-8", "replace")}
-            return response.status, dict(response.getheaders()), payload
-        finally:
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError):
+                if not reused:
+                    raise
+                connection.close()
+                connection.request(method, path, body=body, headers=headers)
+                response = connection.getresponse()
+            raw = response.read()
+        except BaseException:
             connection.close()
+            raise
+        try:
+            payload = json.loads(raw) if raw else None
+        except ValueError:
+            payload = {"error": raw.decode("utf-8", "replace")}
+        return response.status, dict(response.getheaders()), payload
 
     def _backoff(self, attempt: int) -> float:
         """Exponential backoff with full jitter, capped."""
@@ -219,10 +266,15 @@ class ServeClient:
         return decoded
 
     def wait(self, job_id: str, poll_s: float = 10.0, deadline_s: float = 600.0) -> dict:
-        """Long-poll until the job is terminal; returns the final job JSON."""
+        """Long-poll until the job is terminal; returns the final job JSON.
+
+        Each poll waits at most until the deadline, so a job still running
+        then raises :class:`ClientError` about ``deadline_s`` after the call.
+        """
         deadline = time.monotonic() + deadline_s
         while True:
-            job = self.job(job_id, wait_s=poll_s)
+            remaining = max(0.0, deadline - time.monotonic())
+            job = self.job(job_id, wait_s=min(poll_s, remaining))
             if job["state"] in TERMINAL_STATES:
                 return job
             if time.monotonic() >= deadline:

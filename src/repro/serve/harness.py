@@ -14,8 +14,10 @@ same code path SIGTERM takes in the CLI)::
         client = server.client()
         client.healthz()
 
-The context-manager exit performs a graceful drain: every accepted job
-reaches a terminal state before the thread joins.
+The context-manager exit performs a graceful drain: the clients
+:meth:`ServerThread.client` handed out close their kept connections, the
+server closes every other idle one, and every accepted job reaches a
+terminal state before the thread joins.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ class ServerThread:
         self._stop: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._startup_error: BaseException | None = None
+        self._clients: list[ServeClient] = []
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-serve-harness", daemon=True
         )
@@ -62,7 +65,9 @@ class ServerThread:
         return self
 
     def stop(self) -> None:
-        """Drain the service and join the thread (idempotent)."""
+        """Close handed-out clients, drain, join the thread (idempotent)."""
+        for client in self._clients:
+            client.close()
         if self._loop is not None and self._stop is not None:
             try:
                 self._loop.call_soon_threadsafe(self._stop.set)
@@ -77,9 +82,11 @@ class ServerThread:
         self.stop()
 
     def client(self, **overrides) -> ServeClient:
-        """A :class:`ServeClient` pointed at this server."""
+        """A :class:`ServeClient` pointed at this server, closed by :meth:`stop`."""
         assert self.port is not None, "harness not started"
-        return ServeClient(self.host, self.port, **overrides)
+        client = ServeClient(self.host, self.port, **overrides)
+        self._clients.append(client)
+        return client
 
     # -- thread body ---------------------------------------------------------
 
@@ -95,12 +102,12 @@ class ServerThread:
         self._stop = asyncio.Event()
         self.service = SimulationService(self.config)
         await self.service.start()
-        server = await start_http_server(self.service, host=self.host, port=0)
-        self.port = server.sockets[0].getsockname()[1]
+        api = await start_http_server(self.service, host=self.host, port=0)
+        self.port = api.port
         self._ready.set()
         try:
             await self._stop.wait()
         finally:
-            server.close()
-            await server.wait_closed()
+            api.close()
             await self.service.drain(grace_s=self.drain_grace_s)
+            await api.wait_closed()

@@ -2,9 +2,13 @@
 
 No framework: connections are ``asyncio.start_server`` streams, requests
 are parsed with a small strict reader (request line, headers,
-``Content-Length`` body, 1 MiB cap), and every response closes the
-connection — the protocol surface a retrying client actually needs, and
-nothing more.
+``Content-Length`` body, 1 MiB cap), and connections are persistent
+HTTP/1.1: one connection answers requests in turn until the client asks
+for ``Connection: close`` (or speaks HTTP/1.0), a request fails to parse,
+a ``/jobs/<id>/events`` stream ends, or the server stops.  Every
+response's ``Connection`` header (``keep-alive`` or ``close``) says
+whether the connection stays open.  That is the protocol surface a
+retrying client actually needs, and nothing more.
 
 Routes::
 
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import dataclass, field
 from urllib.parse import parse_qs, urlsplit
 
@@ -73,6 +78,9 @@ class Request:
     query: dict[str, list[str]]
     headers: dict[str, str]
     body: bytes
+    #: False when the client asked to close the connection after this
+    #: request (``Connection: close``, or any HTTP/1.0 request).
+    keep_alive: bool = True
 
     def json(self):
         """The body decoded as JSON (raises ``ConfigurationError`` politely)."""
@@ -84,14 +92,15 @@ class Request:
             raise ConfigurationError("request body is not valid JSON") from None
 
     def query_float(self, name: str) -> float | None:
-        """A float query parameter, or None when absent/malformed."""
+        """A finite float query parameter, or None when absent/malformed."""
         values = self.query.get(name)
         if not values:
             return None
         try:
-            return float(values[0])
+            value = float(values[0])
         except ValueError:
             return None
+        return value if math.isfinite(value) else None
 
 
 @dataclass
@@ -102,15 +111,15 @@ class Response:
     payload: dict | list
     headers: dict[str, str] = field(default_factory=dict)
 
-    def encode(self) -> bytes:
+    def encode(self, keep_alive: bool = False) -> bytes:
         """The full HTTP/1.1 wire form of this response."""
-        body = (json.dumps(self.payload, indent=1) + "\n").encode("utf-8")
+        body = (json.dumps(self.payload) + "\n").encode("utf-8")
         reason = _REASONS.get(self.status, "Unknown")
         lines = [
             f"HTTP/1.1 {self.status} {reason}",
             "Content-Type: application/json",
             f"Content-Length: {len(body)}",
-            "Connection: close",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
         ]
         lines += [f"{name}: {value}" for name, value in self.headers.items()]
         return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
@@ -120,27 +129,39 @@ class BadRequest(Exception):
     """A request the parser refuses to interpret."""
 
 
+async def _readline(reader: asyncio.StreamReader) -> bytes:
+    """One line of the request head; an over-long line is a bad request."""
+    try:
+        return await reader.readline()
+    except ValueError:  # longer than the stream's line limit
+        raise BadRequest("request head line too long") from None
+
+
 async def _read_request(reader: asyncio.StreamReader) -> Request | None:
     """Parse one request off the stream; None on a cleanly closed socket."""
     try:
-        request_line = await reader.readline()
-    except (ConnectionError, asyncio.LimitOverrunError):
+        request_line = await _readline(reader)
+    except ConnectionError:
         return None
     if not request_line:
         return None
     parts = request_line.decode("latin-1").split()
     if len(parts) != 3 or not parts[2].startswith("HTTP/1."):
         raise BadRequest("malformed request line")
-    method, target = parts[0].upper(), parts[1]
+    method, target, version = parts[0].upper(), parts[1], parts[2]
     headers: dict[str, str] = {}
     while True:
-        line = await reader.readline()
+        line = await _readline(reader)
         if line in (b"\r\n", b"\n", b""):
             break
         name, separator, value = line.decode("latin-1").partition(":")
         if not separator:
             raise BadRequest("malformed header line")
         headers[name.strip().lower()] = value.strip()
+    # Only Content-Length framing is understood; guessing at any other
+    # body framing would misread the next request on a kept connection.
+    if "transfer-encoding" in headers:
+        raise BadRequest("Transfer-Encoding request bodies are not supported")
     try:
         length = int(headers.get("content-length", "0"))
     except ValueError:
@@ -149,61 +170,121 @@ async def _read_request(reader: asyncio.StreamReader) -> Request | None:
         raise BadRequest(f"body larger than {MAX_BODY_BYTES} bytes")
     body = await reader.readexactly(length) if length else b""
     split = urlsplit(target)
+    connection = headers.get("connection", "").lower()
+    tokens = {token.strip() for token in connection.split(",")}
     return Request(
         method=method,
         path=split.path.rstrip("/") or "/",
         query=parse_qs(split.query),
         headers=headers,
         body=body,
+        keep_alive=version != "HTTP/1.0" and "close" not in tokens,
     )
 
 
 class HttpApi:
-    """Routes HTTP requests onto a :class:`SimulationService`."""
+    """Routes HTTP requests onto a :class:`SimulationService`.
+
+    :func:`start_http_server` builds one and starts it listening.  Shut
+    it down in three steps: :meth:`close`, then drain the service, then
+    ``await`` :meth:`wait_closed`.
+    """
 
     def __init__(self, service: SimulationService):
         self.service = service
+        self.server: asyncio.base_events.Server | None = None
+        #: Set by :meth:`close`: no connection is kept alive any longer.
+        self._closing = False
+        #: The task serving each open connection.
+        self._handlers: set[asyncio.Task] = set()
+        #: Connections waiting for their next request.
+        self._idle: set[asyncio.StreamWriter] = set()
+
+    @property
+    def port(self) -> int:
+        """The TCP port the server listens on."""
+        return self.server.sockets[0].getsockname()[1]
+
+    def close(self) -> None:
+        """Stop listening and close idle connections.
+
+        A connection busy with a request answers it with
+        ``Connection: close`` and then closes.  A long-poll or progress
+        stream stays busy until its job ends, which draining the service
+        guarantees.
+        """
+        self._closing = True
+        self.server.close()
+        for writer in list(self._idle):
+            writer.close()
+
+    async def wait_closed(self) -> None:
+        """Wait until every connection has closed; call after draining."""
+        if self._handlers:
+            await asyncio.wait(list(self._handlers))
+        await self.server.wait_closed()
 
     async def handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        """Serve one connection: one request, one response, close."""
+        """Serve one connection: requests in turn, until it must close."""
+        handler = asyncio.current_task()
+        self._handlers.add(handler)
         try:
-            try:
-                request = await _read_request(reader)
-            except (BadRequest, asyncio.IncompleteReadError) as error:
-                await self._write(writer, Response(400, {"error": str(error)}))
-                return
-            if request is None:
-                return
-            if request.method == "GET" and self._is_events_path(request.path):
-                await self._stream_events(request, writer)
-                return
-            try:
-                response = await self.dispatch(request)
-            except ConfigurationError as error:
-                response = Response(400, {"error": str(error)})
-            except ServiceSaturated as error:
-                response = Response(
-                    429,
-                    {"error": str(error), "retry_after_s": error.retry_after_s},
-                    headers={"Retry-After": f"{error.retry_after_s:g}"},
-                )
-            except ServiceDraining as error:
-                response = Response(503, {"error": str(error)})
-            except Exception as error:  # pragma: no cover - defensive
-                response = Response(500, {"error": f"internal error: {error!r}"})
-            await self._write(writer, response)
+            while not self._closing:
+                self._idle.add(writer)
+                try:
+                    request = await _read_request(reader)
+                except (BadRequest, asyncio.IncompleteReadError) as error:
+                    await self._write(writer, Response(400, {"error": str(error)}))
+                    return
+                finally:
+                    self._idle.discard(writer)
+                # :meth:`close` closed the connection while it waited: a
+                # request that arrived meanwhile is left unprocessed.
+                if request is None or writer.is_closing():
+                    return
+                if request.method == "GET" and self._is_events_path(request.path):
+                    await self._stream_events(request, writer)
+                    return
+                response = await self._respond(request)
+                keep_alive = request.keep_alive and not self._closing
+                await self._write(writer, response, keep_alive)
+                if not keep_alive:
+                    return
         finally:
+            self._handlers.discard(handler)
             writer.close()
             try:
                 await writer.wait_closed()
             except (ConnectionError, OSError):  # pragma: no cover
                 pass
 
-    async def _write(self, writer: asyncio.StreamWriter, response: Response) -> None:
+    async def _respond(self, request: Request) -> Response:
+        """Dispatch one request, mapping service errors to error responses."""
         try:
-            writer.write(response.encode())
+            return await self.dispatch(request)
+        except ConfigurationError as error:
+            return Response(400, {"error": str(error)})
+        except ServiceSaturated as error:
+            return Response(
+                429,
+                {"error": str(error), "retry_after_s": error.retry_after_s},
+                headers={"Retry-After": f"{error.retry_after_s:g}"},
+            )
+        except ServiceDraining as error:
+            return Response(503, {"error": str(error)})
+        except Exception as error:  # pragma: no cover - defensive
+            return Response(500, {"error": f"internal error: {error!r}"})
+
+    async def _write(
+        self,
+        writer: asyncio.StreamWriter,
+        response: Response,
+        keep_alive: bool = False,
+    ) -> None:
+        try:
+            writer.write(response.encode(keep_alive))
             await writer.drain()
         except (ConnectionError, OSError):  # pragma: no cover - client gone
             pass
@@ -360,11 +441,13 @@ class HttpApi:
 
 async def start_http_server(
     service: SimulationService, host: str = "127.0.0.1", port: int = 0
-) -> asyncio.base_events.Server:
-    """Start serving ``service`` over HTTP; returns the asyncio server.
+) -> HttpApi:
+    """Start serving ``service`` over HTTP; returns the listening API.
 
     ``port=0`` binds an ephemeral port; read the real one off
-    ``server.sockets[0].getsockname()[1]``.
+    :attr:`HttpApi.port`.  Shut it down with ``api.close()``, then
+    ``await service.drain()``, then ``await api.wait_closed()``.
     """
     api = HttpApi(service)
-    return await asyncio.start_server(api.handle_connection, host=host, port=port)
+    api.server = await asyncio.start_server(api.handle_connection, host=host, port=port)
+    return api

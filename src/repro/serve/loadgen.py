@@ -168,6 +168,7 @@ class LoadGenerator:
             thread.join()
         report.wall_s = time.perf_counter() - started
         for client in clients:
+            client.close()
             for key, value in client.stats.items():
                 report.client_stats[key] = report.client_stats.get(key, 0) + value
         return report

@@ -138,7 +138,7 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     runner.configure(
         cache_enabled=cache_dir is not None,
         cache_dir=cache_dir,
-        cache_bytes=-1 if cache_bytes is None else max(0, cache_bytes),
+        cache_bytes=-1 if cache_bytes is None else cache_bytes,
     )
     cache = runner.disk_cache()
     store = None

@@ -49,6 +49,7 @@ silently lost; every job ends DONE, FAILED, TIMEOUT or CANCELLED.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,7 +97,7 @@ class ServiceConfig:
     #: Max active (queued + running) jobs before admission answers 429.
     queue_depth: int = 16
     cache_dir: Path | None = DEFAULT_CACHE_DIR
-    #: LRU byte budget for the persistent cache (None: unbounded).
+    #: LRU byte budget for the persistent cache (None or negative: unbounded).
     cache_bytes: int | None = None
     #: Default per-job timeout when a submission does not carry one.
     default_timeout_s: float | None = 300.0
@@ -565,8 +566,9 @@ def decode_submission(payload: dict) -> tuple[JobSpec, float | None]:
     if timeout_s is not None:
         try:
             timeout_s = float(timeout_s)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigurationError("timeout_s must be a number") from None
-        if timeout_s <= 0:
-            raise ConfigurationError("timeout_s must be positive")
+        # A NaN deadline never fires: ``now >= nan`` is always false.
+        if not math.isfinite(timeout_s) or timeout_s <= 0:
+            raise ConfigurationError("timeout_s must be a positive finite number")
     return spec_from_jsonable(payload), timeout_s

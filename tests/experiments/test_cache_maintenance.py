@@ -10,9 +10,13 @@ on version skew or corruption instead of crashing the sweep.
 import json
 import os
 
+from repro.experiments import runner
 from repro.experiments.executor import (
+    CACHE_BYTES_ENV,
+    CACHE_DIR_ENV,
     CACHE_SCHEMA_VERSION,
     MANIFEST_SCHEMA_VERSION,
+    NO_CACHE_ENV,
     JobRecord,
     JobSpec,
     ResultCache,
@@ -102,6 +106,17 @@ class TestBoundedEviction:
             cache.path_for(job).stat().st_size for job in specs.values()
         )
         assert cache.size_bytes() == on_disk
+
+    def test_negative_env_budget_is_unbounded(self, monkeypatch, tmp_path):
+        monkeypatch.setenv(CACHE_BYTES_ENV, "-1")
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
+        monkeypatch.delenv(NO_CACHE_ENV, raising=False)
+        try:
+            runner.reset_config()
+            assert runner.disk_cache().max_bytes is None
+        finally:
+            monkeypatch.undo()
+            runner.reset_config()
 
 
 class TestCachedResultSchema:

@@ -22,14 +22,16 @@ from repro.serve.client import (
 from tests.serve.helpers import FAST_SPEC
 
 
-def http_response(status: int, payload: dict, extra_headers: tuple = ()) -> bytes:
-    """One full scripted HTTP/1.1 response, JSON body, connection-close."""
+def http_response(
+    status: int, payload: dict, extra_headers: tuple = (), connection: str = "close"
+) -> bytes:
+    """One full scripted HTTP/1.1 response with a JSON body."""
     body = json.dumps(payload).encode("utf-8")
     lines = [
         f"HTTP/1.1 {status} Scripted",
         "Content-Type: application/json",
         f"Content-Length: {len(body)}",
-        "Connection: close",
+        f"Connection: {connection}",
         *extra_headers,
     ]
     return ("\r\n".join(lines) + "\r\n\r\n").encode("ascii") + body
@@ -40,7 +42,8 @@ class ScriptedServer:
 
     An item of ``b"..."`` is written verbatim; the sentinel string
     ``"drop"`` closes the connection without answering (the client sees
-    ``RemoteDisconnected``, a ``ConnectionError``).
+    ``RemoteDisconnected``, a ``ConnectionError``).  Every connection is
+    closed after its one item, even when the response says keep-alive.
     """
 
     def __init__(self, script: list):
@@ -133,6 +136,36 @@ class TestConnectionRetries:
         with pytest.raises(ConnectionError):
             client.healthz()
         assert client.stats["requests"] == 2
+
+
+class TestKeptConnections:
+    def test_connection_closed_while_idle_is_reopened_without_a_retry(self):
+        ok = http_response(200, {"status": "ok"}, connection="keep-alive")
+        with ScriptedServer([ok, ok]) as server:
+            with client_for(server) as client:
+                assert client.healthz() == {"status": "ok"}
+                # The server has closed the kept socket; the client finds
+                # out on its next request and reconnects for free.
+                assert client.healthz() == {"status": "ok"}
+        assert client.stats == {"requests": 2, "retries_connect": 0, "retries_busy": 0}
+        assert len(server.requests) == 2
+
+    def test_connection_close_answer_closes_the_socket(self):
+        with ScriptedServer([http_response(200, {"status": "ok"})]) as server:
+            with client_for(server) as client:
+                client.healthz()
+                assert client._connection().sock is None
+
+    def test_close_is_idempotent_and_the_client_stays_usable(self):
+        ok = http_response(200, {"status": "ok"}, connection="keep-alive")
+        with ScriptedServer([ok, ok]) as server:
+            client = client_for(server)
+            client.healthz()
+            client.close()
+            client.close()
+            assert client.healthz() == {"status": "ok"}
+            client.close()
+        assert client.stats["retries_connect"] == 0
 
 
 class TestBackoffSchedule:

@@ -4,19 +4,65 @@ The flagship assertions from the acceptance criteria live here: a result
 obtained through the service is bit-identical (up to exact JSON float
 round-tripping) to the same JobSpec executed directly; a saturated server
 answers 429 with Retry-After and never drops an accepted job; SIGTERM-style
-drain leaves every job terminal.
+drain leaves every job terminal.  Connection reuse is checked on raw
+sockets: which requests keep a connection open and which close it.
 """
 
+import asyncio
 import http.client
 import json
+import socket
+import sys
+import threading
+import time
 
 import pytest
 
 from repro.experiments.executor import result_to_jsonable
-from repro.serve import LoadGenerator, ServerBusy, ServerThread, ServiceConfig
+from repro.serve import (
+    ClientError,
+    LoadGenerator,
+    ServeClient,
+    ServerBusy,
+    ServerThread,
+    ServiceConfig,
+)
+from repro.serve.http import BadRequest, HttpApi, Request, _read_request
 from repro.serve.jobs import JobState
 
-from tests.serve.helpers import FAST_SPEC, fast_jobspec, slow_spec
+from tests.serve.helpers import FAST_SPEC, SLOW_SPEC, fast_jobspec, slow_spec
+
+
+def exchange(port: int, raw: bytes) -> bytes:
+    """Send raw request bytes; everything the server sends until it closes.
+
+    A server that keeps the socket open fails the test on the timeout.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(raw)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks)
+
+
+def long_spec(seed: int) -> dict:
+    """A job that runs for seconds, far past the deadlines tested against it."""
+    return dict(SLOW_SPEC, num_requests=40_000, seed=seed)
+
+
+def endless_spec(seed: int) -> dict:
+    """A job that runs for about 15 s, far longer than a shutdown may take."""
+    return dict(SLOW_SPEC, num_requests=200_000, seed=seed)
+
+
+def stopping_time(server: ServerThread) -> float:
+    """Seconds :meth:`ServerThread.stop` took; its thread must be gone."""
+    started = time.monotonic()
+    server.stop()
+    elapsed = time.monotonic() - started
+    assert not server._thread.is_alive()
+    return elapsed
 
 
 class TestPlumbing:
@@ -52,6 +98,9 @@ class TestPlumbing:
             "POST", "/jobs", dict(FAST_SPEC, level="obfusmen_auth")
         )
         assert status == 400 and "obfusmem_auth" in payload["error"]  # hint
+        submission = dict(FAST_SPEC, timeout_s=float("nan"))  # sent as NaN
+        status, _headers, payload = client.request("POST", "/jobs", submission)
+        assert status == 400 and "finite" in payload["error"]
 
     def test_method_misuse_is_405(self, cached_server):
         client = cached_server.client()
@@ -99,6 +148,8 @@ class TestEndToEnd:
             response = connection.getresponse()
             assert response.status == 200
             assert response.getheader("Content-Type") == "application/x-ndjson"
+            # No length: read() below returns only once the server closes.
+            assert response.getheader("Connection") == "close"
             lines = [
                 json.loads(line)
                 for line in response.read().decode().strip().splitlines()
@@ -109,6 +160,132 @@ class TestEndToEnd:
         assert states[0] == "queued"
         assert states[-1] == "done"
         assert lines[-1]["source"] in ("simulated", "memory", "disk", "coalesced")
+
+
+@pytest.fixture
+def counted_server(monkeypatch):
+    """A 1-worker server plus the list of connections it accepted."""
+    accepted = []
+    serve = HttpApi.handle_connection
+
+    async def counting(api, reader, writer):
+        accepted.append(writer.get_extra_info("peername"))
+        await serve(api, reader, writer)
+
+    monkeypatch.setattr(HttpApi, "handle_connection", counting)
+    with ServerThread(ServiceConfig(workers=1, cache_dir=None)) as server:
+        yield server, accepted
+
+
+class TestKeepAlive:
+    def test_one_client_reuses_one_connection_per_thread(self, counted_server):
+        server, accepted = counted_server
+        client = server.client()
+        for _ in range(3):
+            assert client.healthz() == {"status": "ok"}
+        assert client.metrics()["state"] == "running"
+        assert len(accepted) == 1
+        # A second thread never shares the first one's socket.
+        thread = threading.Thread(target=client.healthz)
+        thread.start()
+        thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert len(accepted) == 2
+        assert client.healthz() == {"status": "ok"}
+        assert len(accepted) == 2
+        assert client.stats["retries_connect"] == 0
+
+    def test_threads_sharing_a_client_get_their_own_answers(self, counted_server):
+        server, accepted = counted_server
+        client = server.client()
+        mismatches = []
+
+        def hammer(thread_index: int) -> None:
+            for round_index in range(20):
+                job_id = f"j{thread_index:03d}{round_index:03d}-deadbeef"
+                status, _headers, payload = client.request("GET", f"/jobs/{job_id}")
+                if status != 404 or job_id not in payload["error"]:
+                    mismatches.append((job_id, status, payload))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+        assert 1 <= len(accepted) <= 8
+
+    def test_responses_on_a_kept_connection_say_keep_alive(self, cached_server):
+        first = b"GET /healthz HTTP/1.1\r\n\r\n"
+        last = b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+        reply = exchange(cached_server.port, first + first + last)
+        assert reply.count(b"HTTP/1.1 200 OK") == 3
+        assert reply.count(b"Connection: keep-alive") == 2
+        assert reply.count(b"Connection: close") == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+            b"GET /healthz HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_requests_get_one_response_then_eof(self, cached_server, raw):
+        reply = exchange(cached_server.port, raw + raw)
+        assert reply.count(b"HTTP/1.1 200 OK") == 1
+        assert b"Connection: close" in reply
+        assert reply.endswith(b'{"status": "ok"}\n')
+
+    def test_malformed_request_line_is_400_then_eof(self, cached_server):
+        good = b"GET /healthz HTTP/1.1\r\n\r\n"
+        reply = exchange(cached_server.port, b"NONSENSE\r\n\r\n" + good)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request")
+        assert b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_chunked_request_body_is_400_then_eof(self, cached_server):
+        raw = (
+            b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"2\r\n{}\r\n0\r\n\r\n"
+        )
+        reply = exchange(cached_server.port, raw)
+        assert reply.startswith(b"HTTP/1.1 400 Bad Request")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+
+class TestWireInput:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("2.5", 2.5), ("0", 0.0), ("x", None), ("nan", None), ("inf", None)],
+    )
+    def test_query_float_admits_only_finite_numbers(self, text, expected):
+        request = Request("GET", "/jobs/j1", {"wait_s": [text]}, {}, b"")
+        assert request.query_float("wait_s") == expected
+
+    @pytest.mark.parametrize(
+        "head",
+        [
+            b"GET /" + b"a" * 2048 + b" HTTP/1.1\r\n\r\n",
+            b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 2048 + b"\r\n\r\n",
+        ],
+        ids=["request-line", "header-line"],
+    )
+    def test_overlong_head_line_is_a_bad_request(self, head):
+        async def parse():
+            reader = asyncio.StreamReader(limit=1024)
+            reader.feed_data(head)
+            reader.feed_eof()
+            return await _read_request(reader)
+
+        with pytest.raises(BadRequest, match="too long"):
+            asyncio.run(parse())
 
 
 class TestBackpressure:
@@ -169,6 +346,19 @@ class TestBackpressure:
         assert busy.value.retry_after_s > 0
 
 
+class TestWaitDeadline:
+    def test_wait_raises_near_its_deadline_not_after_a_poll(self, tiny_server):
+        client = tiny_server.client()
+        job = client.submit(long_spec(seed=195))
+        try:
+            started = time.monotonic()
+            with pytest.raises(ClientError, match="at deadline"):
+                client.wait(job["id"], poll_s=5.0, deadline_s=0.5)
+            assert time.monotonic() - started < 1.5
+        finally:
+            client.cancel(job["id"])
+
+
 class TestCancellation:
     def test_delete_cancels_a_running_job(self, tiny_server):
         client = tiny_server.client()
@@ -202,6 +392,46 @@ class TestGracefulShutdown:
         # The socket is closed: new submissions cannot reach the service.
         with pytest.raises((ConnectionError, OSError)):
             server.client(max_retries=0).submit(FAST_SPEC)
+
+    def test_drain_ends_a_long_poll_then_closes_its_connection(self):
+        config = ServiceConfig(workers=1, queue_depth=8, cache_dir=None)
+        server = ServerThread(config, drain_grace_s=0.05).start()
+        with ServeClient(server.host, server.port) as client:
+            job = client.submit(endless_spec(seed=177))
+            replies = []
+            poll = threading.Thread(
+                target=lambda: replies.append(
+                    client.request("GET", f"/jobs/{job['id']}?wait_s=120")
+                )
+            )
+            poll.start()
+            time.sleep(0.5)  # the long-poll is in flight
+            stop_s = stopping_time(server)
+            poll.join(timeout=10.0)
+            assert not poll.is_alive()
+        assert stop_s < 5.0
+        # Drain cancelled the job past its grace, which answered the poll.
+        status, headers, payload = replies[0]
+        assert status == 200 and payload["state"] == "cancelled"
+        assert headers["Connection"] == "close"
+
+    def test_drain_ends_a_progress_stream(self):
+        config = ServiceConfig(workers=1, queue_depth=8, cache_dir=None)
+        server = ServerThread(config, drain_grace_s=0.05).start()
+        with ServeClient(server.host, server.port) as client:
+            job = client.submit(endless_spec(seed=178))
+        raw = f"GET /jobs/{job['id']}/events HTTP/1.1\r\n\r\n".encode("ascii")
+        replies = []
+        stream = threading.Thread(
+            target=lambda: replies.append(exchange(server.port, raw))
+        )
+        stream.start()
+        time.sleep(0.5)  # the stream is open on the running job
+        assert stopping_time(server) < 5.0
+        stream.join(timeout=10.0)
+        assert not stream.is_alive()
+        last = json.loads(replies[0].splitlines()[-1])
+        assert last["state"] == "cancelled"
 
     def test_drain_past_grace_cancels_leftovers(self):
         config = ServiceConfig(workers=1, queue_depth=8, cache_dir=None)

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.experiments.checkpoints import build_world
-from repro.experiments.executor import JobSpec, result_to_jsonable
+from repro.experiments.executor import JobSpec, ResultCache, result_to_jsonable
 from repro.serve.jobs import JobBoard, JobState
 from repro.serve.pool import WorkerPool
 from repro.serve.service import ServiceConfig, SimulationService, decode_submission
@@ -113,6 +113,20 @@ class TestExecution:
         assert outcome.sim_events > 0
         assert outcome.result_payload == result_to_jsonable(fast_jobspec().execute())
         probe.wait_running(job.id)  # on_running fired before the outcome
+
+    def test_negative_cache_bytes_keeps_entries(self, tmp_path):
+        # A negative budget means unbounded, not zero: the worker's result
+        # entry must survive its own write.
+        board = JobBoard()
+        probe = PoolProbe()
+        pool = make_pool(probe, cache_dir=tmp_path, cache_bytes=-1)
+        try:
+            job = board.create(fast_jobspec())
+            pool.dispatch(job)
+            assert probe.wait_outcome(job.id).status == "ok"
+        finally:
+            pool.stop()
+        assert ResultCache(tmp_path).get(fast_jobspec()) is not None
 
     def test_cold_job_reports_the_engines_event_count(self):
         world = build_world(fast_jobspec())

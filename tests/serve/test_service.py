@@ -6,13 +6,20 @@ implements it.  The HTTP translation of the same behaviours is covered by
 ``test_http_api.py``.
 """
 
+import argparse
 import asyncio
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.experiments.executor import ResultCache, result_to_jsonable
+from repro.experiments.executor import JobSpec, ResultCache, result_to_jsonable
+from repro.mem.dram_timing import PcmTiming
+from repro.serve.cli import add_serve_arguments, config_from_args
 from repro.serve.jobs import JobState
 from repro.serve.service import (
     ServeError,
@@ -21,6 +28,7 @@ from repro.serve.service import (
     SimulationService,
     decode_submission,
 )
+from repro.system.config import MachineConfig
 
 from tests.serve.helpers import FAST_SPEC, fast_jobspec, slow_spec
 
@@ -291,7 +299,55 @@ class TestDrain:
         run(scenario())
 
 
+#: Any value ``json.loads`` can return, NaN and the infinities included,
+#: with values that are easy to mishandle (huge, negative, wrong type)
+#: drawn often.
+JSON_VALUES = st.recursive(
+    st.sampled_from(
+        [None, True, 0, -1, 10**400, float("nan"), float("-inf"), "x", "", [], {}]
+    )
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def objects(cls, values, *extra: str) -> st.SearchStrategy:
+    """Small objects keyed by ``cls``'s field names, ``extra`` and one
+    unknown name, so most values reach past a decoder's field check."""
+    names = [field.name for field in dataclasses.fields(cls)]
+    keys = st.sampled_from([*names, *extra, "warp_factor"])
+    return st.dictionaries(keys, values, max_size=3)
+
+
+def submissions(overrides: st.SearchStrategy) -> st.SearchStrategy:
+    """FAST_SPEC with ``overrides`` applied."""
+    return st.builds(lambda fields: {**FAST_SPEC, **fields}, overrides)
+
+
+MACHINES = objects(MachineConfig, JSON_VALUES | objects(PcmTiming, JSON_VALUES))
+SUBMISSIONS = (
+    JSON_VALUES
+    | submissions(objects(JobSpec, JSON_VALUES, "timeout_s"))
+    | submissions(st.fixed_dictionaries({"machine": MACHINES}))
+)
+
+
 class TestDecodeSubmission:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(payload=SUBMISSIONS)
+    def test_arbitrary_payloads_decode_or_raise_configuration_error(self, payload):
+        try:
+            spec, timeout_s = decode_submission(payload)
+        except ConfigurationError:
+            return
+        assert isinstance(spec, JobSpec)
+        assert spec.num_requests > 0 and spec.cores > 0
+        assert timeout_s is None or (math.isfinite(timeout_s) and timeout_s > 0)
+
     def test_decodes_spec_and_timeout(self):
         spec, timeout_s = decode_submission(dict(FAST_SPEC, timeout_s=2.5))
         assert spec.digest() == fast_jobspec().digest()
@@ -308,10 +364,31 @@ class TestDecodeSubmission:
             decode_submission(dict(FAST_SPEC, timeout_s=-1))
         with pytest.raises(ConfigurationError):
             decode_submission(dict(FAST_SPEC, warp_factor=9))
+        # Values that would only fail later: a NaN deadline never fires,
+        # and an empty trace fails in the worker.
+        for overrides in (
+            {"timeout_s": float("nan")},
+            {"timeout_s": float("inf")},
+            {"timeout_s": "nan"},
+            {"timeout_s": 10**400},
+            {"num_requests": 0},
+            {"num_requests": -5},
+            {"cores": 0},
+        ):
+            with pytest.raises(ConfigurationError):
+                decode_submission(dict(FAST_SPEC, **overrides))
 
     def test_rejects_unknown_scheme_with_hint(self):
         with pytest.raises(ConfigurationError):
             decode_submission(dict(FAST_SPEC, level="obfusmen_auth"))
+
+
+def test_negative_cache_bytes_flag_is_unbounded(tmp_path):
+    parser = argparse.ArgumentParser()
+    add_serve_arguments(parser)
+    args = parser.parse_args(["--cache-dir", str(tmp_path), "--cache-bytes", "-1"])
+    service = SimulationService(config_from_args(args))
+    assert service.runner.cache.max_bytes is None
 
 
 def test_metrics_shape(tmp_path):
