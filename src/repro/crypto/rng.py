@@ -11,6 +11,8 @@ operations the library needs and adds byte/prime helpers.
 from __future__ import annotations
 
 import random
+import sys
+from array import array
 
 from repro.errors import CryptoError
 
@@ -51,8 +53,38 @@ class DeterministicRng:
         return self._random.choice(sequence)
 
     def shuffle(self, sequence) -> None:
-        """Shuffle a sequence in place."""
-        self._random.shuffle(sequence)
+        """Shuffle a sequence in place, exactly as :meth:`random.Random.shuffle`.
+
+        Same permutation and same generator state afterwards, with the
+        32-bit words drawn in bulk.  CPython's Fisher-Yates draws the
+        partner ``j`` of swap position ``i`` by rejection sampling, one
+        word per try (``_randbelow_with_getrandbits``):
+        ``j = word >> (32 - (i + 1).bit_length())``, accepted when
+        ``j <= i``.  With ``i`` swaps left, each consumes at least one
+        word, so ``getrandbits(32 * i)`` never draws past what the stdlib
+        would; its least significant word is the first one generated.
+        Rejections leave swaps over, which draw again the same way.  HIDE
+        shuffles a 1,024-entry permutation per chunk, where a method call
+        per swap dominated.
+        """
+        getrandbits = self._random.getrandbits
+        i = len(sequence) - 1
+        while i > 0:
+            # Unsigned 32-bit words in generation order, 4 bytes each.
+            words = array("I", getrandbits(32 * i).to_bytes(4 * i, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            shift = 32 - (i + 1).bit_length()
+            # Below ``low`` the draw width (i + 1).bit_length() drops a bit.
+            low = (1 << (31 - shift)) - 1
+            for word in words:
+                j = word >> shift
+                if j <= i:
+                    sequence[i], sequence[j] = sequence[j], sequence[i]
+                    i -= 1
+                    if i < low:
+                        shift += 1
+                        low >>= 1
 
     def sample(self, population, k: int):
         """Sample k distinct elements from a population."""

@@ -91,6 +91,17 @@ def _machine_field_names() -> set[str]:
     return {f.name for f in dataclasses.fields(MachineConfig)}
 
 
+def _integer_field(payload: dict, name: str, default: int) -> int:
+    """``int(payload[name])``, with every failure a ``ConfigurationError``."""
+    value = payload.get(name, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigurationError(
+            f"sweep-spec field {name!r} needs an integer, got {value!r:.40}"
+        ) from None
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One named axis of a sweep: a knob and the values it ranges over."""
@@ -118,7 +129,11 @@ class SweepAxis:
 
     def _validate_scalar(self) -> None:
         if self.name == "benchmark":
-            unknown = [v for v in self.values if v not in SPEC_PROFILES]
+            unknown = [
+                v
+                for v in self.values
+                if not isinstance(v, str) or v not in SPEC_PROFILES
+            ]
             if unknown:
                 raise ConfigurationError(f"unknown benchmarks: {unknown}")
         elif self.name == "level":
@@ -236,8 +251,8 @@ class SweepSpec:
         return cls(
             axes=axes,
             mode=str(payload.get("mode", "grid")),
-            samples=int(payload.get("samples", 0)),
-            sample_seed=int(payload.get("sample_seed", DEFAULT_SEED)),
+            samples=_integer_field(payload, "samples", 0),
+            sample_seed=_integer_field(payload, "sample_seed", DEFAULT_SEED),
             baselines=bool(payload.get("baselines", True)),
         )
 
@@ -248,7 +263,7 @@ class SweepSpec:
             payload = json.loads(Path(path).read_text())
         except OSError as exc:
             raise ConfigurationError(f"cannot read sweep spec {path}: {exc}") from None
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting past the parser's depth
             raise ConfigurationError(f"sweep spec {path} is not JSON: {exc}") from None
         return cls.from_jsonable(payload)
 
@@ -422,7 +437,7 @@ class CostModel:
     #: cover for the fork to matter.
     min_shared_fraction: float = 0.10
     #: Conservative kernel-events-per-request floor across schemes (an
-    #: opaque ORAM backend runs ~2 events/request; wire schemes run 3-11).
+    #: opaque ORAM backend runs ~2 events/request; wire schemes run 2.8-9.1).
     #: Sizing the probe slice from the floor guarantees several slice
     #: boundaries land inside even the lightest scheme's shared prefix.
     min_events_per_request: float = 2.0

@@ -10,7 +10,7 @@ addresses visibly stripe across channel pins (paper §3.4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.mem.request import BLOCK_OFFSET_BITS, BLOCK_SIZE_BYTES
@@ -22,9 +22,11 @@ def _log2_exact(value: int, what: str) -> int:
     return value.bit_length() - 1
 
 
-@dataclass(frozen=True)
-class DecodedAddress:
-    """Channel/rank/bank/row/column coordinates of one block."""
+class DecodedAddress(NamedTuple):
+    """Channel/rank/bank/row/column coordinates of one block.
+
+    A tuple rather than a dataclass: every decode-memo miss builds one.
+    """
 
     channel: int
     rank: int
@@ -77,7 +79,7 @@ class AddressMapping:
         self.rows_per_bank = 1 << self._row_bits
         self.num_blocks = capacity_bytes // BLOCK_SIZE_BYTES
         # Decode memo: coordinates are pure functions of the address and
-        # :class:`DecodedAddress` is frozen, so instances are shared.  The
+        # :class:`DecodedAddress` is immutable, so instances are shared.  The
         # cache is bounded by the number of distinct blocks a run touches.
         self._decode_cache: dict[int, DecodedAddress] = {}
         # One reserved dummy block per channel (paper §3.3), precomputed:
@@ -129,7 +131,7 @@ class AddressMapping:
         bits >>= self._rank_bits
         row = bits
         decoded = self._decode_cache[address] = DecodedAddress(
-            channel=channel, rank=rank, bank=bank, row=row, column=column
+            channel, rank, bank, row, column
         )
         return decoded
 

@@ -127,6 +127,10 @@ class ChannelController:
     ) -> None:
         """Accept a request for this channel.
 
+        ``callback`` runs when the request completes.  Without one, the
+        request's ``complete_time_ps`` is set when it issues and no
+        completion event is posted.
+
         ``wire_command`` / ``wire_data`` are the bytes a wire observer sees
         (ciphertext when a protection layer sits above); when None, the
         plaintext encoding is used, modelling an unprotected bus.
@@ -246,14 +250,33 @@ class ChannelController:
             engine.cancel_entry(wakeup)
         self._wakeup = engine.post_entry(at - now, self._pump)
 
+    # FR-FCFS scan depths: real controllers arbitrate over a bounded window
+    # of queue entries, not the whole (potentially deep) queue.  The
+    # same-direction window is small, which keeps the reordering realistic
+    # and dummy pairing temporally tight.
+    _ROW_HIT_LOOKAHEAD = 16
+    _DIRECTION_LOOKAHEAD = 4
+
     def _pump(self) -> None:
+        """Issue queued requests for as long as the channel can accept one.
+
+        Each pick is FR-FCFS.  Writes drain in batches: from the moment
+        their queue reaches the high watermark until it falls to the low
+        one; otherwise the priority (read) queue goes first.  Within the
+        chosen queue, the oldest row-buffer hit in the scan window wins,
+        then the oldest request whose burst continues the current bus
+        direction (grouping same-direction bursts amortizes the read/write
+        turnaround), then the oldest request.
+        """
         self._wakeup = None
         read_queue = self._read_queue
         write_queue = self._write_queue
         engine = self.engine
+        now = engine._now_ps
         horizon = self._horizon_ps
+        row_window = self._ROW_HIT_LOOKAHEAD
+        direction_window = self._DIRECTION_LOOKAHEAD
         while read_queue or write_queue:
-            now = engine._now_ps
             at = self._cmd_free_ps
             gate = self._bus_free_ps - horizon
             if gate > at:
@@ -261,67 +284,35 @@ class ChannelController:
             if at > now:
                 self._wakeup = engine.post_entry(at - now, self._pump)
                 return
-            queued = self._pick_next()
-            if queued is None:
-                return
-            self._issue(queued)
-
-    # FR-FCFS scan depth: real controllers arbitrate over a bounded window
-    # of queue entries, not the whole (potentially deep) queue.
-    _ROW_HIT_LOOKAHEAD = 16
-
-    def _row_hit_index(self, queue: list[_QueuedRequest]) -> int | None:
-        limit = self._ROW_HIT_LOOKAHEAD
-        if len(queue) < limit:
-            limit = len(queue)
-        for index in range(limit):
-            queued = queue[index]
-            decoded = queued.decoded
-            if decoded is None:  # dummy: no bank, no row to hit
-                continue
-            if queued.bank.open_row == decoded.row:
-                return index
-        return None
-
-    def _direction_match_index(
-        self, queue: list[_QueuedRequest], lookahead: int = 4
-    ) -> int | None:
-        """Prefer a request whose burst continues the current bus direction.
-
-        FR-FCFS controllers group same-direction bursts to amortize the
-        read/write turnaround; the small lookahead keeps the reordering
-        window realistic (and keeps dummy pairing temporally tight).
-        """
-        last = self._last_bus_direction
-        if last is None:
-            return None
-        if len(queue) < lookahead:
-            lookahead = len(queue)
-        for index in range(lookahead):
-            if queue[index].direction is last:
-                return index
-        return None
-
-    def _pick_next(self) -> _QueuedRequest | None:
-        write_depth = len(self._write_queue)
-        if write_depth >= self._write_queue_high:
-            self._draining_writes = True
-        elif write_depth <= self._write_queue_low:
-            self._draining_writes = False
-        if self._draining_writes or not self._read_queue:
-            queue = self._write_queue or self._read_queue
-        else:
-            queue = self._read_queue
-        if not queue:
-            return None
-        if len(queue) == 1:
-            # Every arbitration rule picks the sole entry.
-            return queue.pop()
-        hit_index = self._row_hit_index(queue)
-        if hit_index is not None:
-            return queue.pop(hit_index)
-        match_index = self._direction_match_index(queue)
-        return queue.pop(match_index if match_index is not None else 0)
+            write_depth = len(write_queue)
+            if write_depth >= self._write_queue_high:
+                self._draining_writes = True
+            elif write_depth <= self._write_queue_low:
+                self._draining_writes = False
+            if self._draining_writes or not read_queue:
+                queue = write_queue or read_queue
+            else:
+                queue = read_queue
+            index = 0
+            depth = len(queue)
+            if depth > 1:
+                for scan in range(depth if depth < row_window else row_window):
+                    queued = queue[scan]
+                    decoded = queued.decoded
+                    # Dummies carry no decoded row: no bank, no row to hit.
+                    if decoded is not None and queued.bank.open_row == decoded.row:
+                        index = scan
+                        break
+                else:
+                    last = self._last_bus_direction
+                    if last is not None:
+                        if depth > direction_window:
+                            depth = direction_window
+                        for scan in range(depth):
+                            if queue[scan].direction is last:
+                                index = scan
+                                break
+            self._issue(queue.pop(index))
 
     def _emit(
         self,
@@ -377,18 +368,25 @@ class ChannelController:
         else:
             complete_ps = self._issue_write(queued, cmd_end)
 
-        # Picklable completion event (bound-method partial, not a closure):
-        # it may sit in the heap across a checkpoint.
-        engine.post_at(complete_ps, partial(self._finish, queued.callback, request))
+        callback = queued.callback
+        if callback is None:
+            # Nobody waits on this transaction (a dummy, a posted write, a
+            # write's counter fetch, a prefetch or a write-back): stamp its
+            # completion now and post no event.  The remaining events keep
+            # their order, since sequence numbers follow posting order.
+            # Only the clock at the final drain can stop earlier, and no
+            # flush() in the stack issues traffic, so nothing observes that.
+            request.complete_time_ps = complete_ps
+        else:
+            # Picklable completion event (bound-method partial, not a
+            # closure): it may sit in the heap across a checkpoint.
+            engine.post_at(complete_ps, partial(self._finish, callback, request))
         self._counters["requests_serviced"] += 1
 
-    def _finish(
-        self, callback: CompletionCallback | None, request: MemoryRequest
-    ) -> None:
+    def _finish(self, callback: CompletionCallback, request: MemoryRequest) -> None:
         """Completion event: stamp the finish time, notify the issuer."""
         request.complete_time_ps = self.engine._now_ps
-        if callback is not None:
-            callback(request)
+        callback(request)
 
     def _reserve_bus(
         self, earliest_ps: int, direction: Direction, extra_ps: int = 0

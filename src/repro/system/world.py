@@ -62,7 +62,7 @@ from repro.system.config import MachineConfig
 
 #: Bump when the pickled world layout changes incompatibly; thaw refuses
 #: blobs from another version rather than resuming garbage.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _MAX_EVENTS_PER_REQUEST = 2000  # generous livelock guard (per drain phase)
 

@@ -10,12 +10,15 @@ bit-identical to cold execution while actually warm-starting.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.experiments.checkpoints import CheckpointStore
 from repro.experiments.executor import JobSpec, ParallelRunner
 from repro.experiments.pareto import ParetoAggregator
 from repro.experiments.sweep import (
+    SCALAR_AXES,
     CostModel,
     SweepAxis,
     SweepSpec,
@@ -24,7 +27,32 @@ from repro.experiments.sweep import (
 )
 from repro.system.config import ProtectionLevel
 
+from tests.strategies import JSON_VALUES
+
 SEED = 31
+
+#: Axis values: arbitrary JSON plus valid names, so some specs decode.
+AXIS_VALUES = JSON_VALUES | st.sampled_from(
+    ["astar", "mcf", "unprotected", "obfusmem_auth", 100, 400, "opt"]
+)
+AXES = st.dictionaries(
+    st.sampled_from(
+        [*SCALAR_AXES, "machine.channels", "machine.warp_factor", "warp_factor"]
+    ),
+    AXIS_VALUES | st.lists(AXIS_VALUES, max_size=3),
+    max_size=4,
+)
+SWEEP_PAYLOADS = JSON_VALUES | st.fixed_dictionaries(
+    {"axes": AXES | JSON_VALUES},
+    optional={
+        "schema": st.just(1) | JSON_VALUES,
+        "mode": st.sampled_from(["grid", "zip", "random"]) | JSON_VALUES,
+        "samples": JSON_VALUES,
+        "sample_seed": JSON_VALUES,
+        "baselines": JSON_VALUES,
+        "warp_factor": JSON_VALUES,
+    },
+)
 
 
 def axes(**named) -> tuple[SweepAxis, ...]:
@@ -136,6 +164,37 @@ class TestWireForm:
         )
         assert spec.axes[0].values == ("astar",)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples", "abc"),
+            ("samples", None),
+            ("samples", [1]),
+            ("samples", 1e400),
+            ("sample_seed", None),
+            ("sample_seed", [1]),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, field, value):
+        payload = dict(small_spec().to_jsonable(), **{field: value})
+        with pytest.raises(ConfigurationError, match=field):
+            SweepSpec.from_jsonable(payload)
+
+    def test_unhashable_benchmark_rejected(self):
+        payload = small_spec().to_jsonable()
+        payload["axes"]["benchmark"] = [["mcf"]]
+        with pytest.raises(ConfigurationError, match="unknown benchmarks"):
+            SweepSpec.from_jsonable(payload)
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(payload=SWEEP_PAYLOADS)
+    def test_arbitrary_payloads_decode_or_raise_configuration_error(self, payload):
+        try:
+            spec = SweepSpec.from_jsonable(payload)
+        except ConfigurationError:
+            return
+        assert isinstance(spec.samples, int) and isinstance(spec.sample_seed, int)
+
     def test_load_reads_a_json_file(self, tmp_path):
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(small_spec().to_jsonable()))
@@ -148,6 +207,10 @@ class TestWireForm:
         garbled.write_text("{not json")
         with pytest.raises(ConfigurationError, match="not JSON"):
             SweepSpec.load(garbled)
+        nested = tmp_path / "nested.json"
+        nested.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ConfigurationError, match="not JSON"):
+            SweepSpec.load(nested)
 
 
 class TestCompile:
@@ -377,6 +440,14 @@ class TestCli:
 
         path = self._spec_file(tmp_path, {"axes": {"benchmark": ["astar"]}})
         with pytest.raises(SystemExit, match="level"):
+            main(["sweep", "--spec", str(path), "--dry-run"])
+
+    def test_malformed_value_exits_with_a_message(self, tmp_path):
+        from repro.__main__ import main
+
+        payload = dict(small_spec().to_jsonable(), samples="abc")
+        path = self._spec_file(tmp_path, payload)
+        with pytest.raises(SystemExit, match="'samples' needs an integer"):
             main(["sweep", "--spec", str(path), "--dry-run"])
 
     def test_full_run_writes_the_frontier_csv(self, tmp_path, capsys):

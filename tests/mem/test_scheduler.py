@@ -57,6 +57,57 @@ class TestReadTiming:
         assert done[1].latency_ps > done[0].latency_ps
 
 
+class TestCompletion:
+    def test_every_request_completes_and_callbacks_fire_at_completion(self):
+        """Requests nobody waits on are stamped at issue; waiters get an event.
+
+        Both kinds must end with a completion time no earlier than their
+        enqueue, and every callback must run exactly at that time.
+        """
+        engine, stats, system = make_system()
+        dummy_address = system.mapping.dummy_block_address(0)
+        fired = []
+
+        def on_complete(request):
+            fired.append((request, engine.now_ps))
+
+        requests, waited = [], []
+        for index in range(24):
+            request_type = (RequestType.READ, RequestType.WRITE)[index % 2]
+            if index % 3 == 2:
+                request = MemoryRequest(
+                    dummy_address, request_type, is_dummy=True, droppable=True
+                )
+            else:
+                request = MemoryRequest(index * 64 * 1024, request_type)
+            callback = on_complete if index % 4 < 2 else None
+            request.issue_time_ps = engine.now_ps
+            system.issue(request, callback)
+            requests.append(request)
+            if callback is not None:
+                waited.append(request)
+            if index % 5 == 4:  # staggered arrivals over partly drained queues
+                engine.run(until_ps=engine.now_ps + ns_to_ps(40))
+        engine.run()
+
+        for request in requests:
+            assert request.complete_time_ps is not None
+            assert request.complete_time_ps >= request.issue_time_ps
+        # Each waited-on request is handed back exactly once.
+        assert sorted(id(request) for request, _ in fired) == sorted(map(id, waited))
+        for request, fired_at_ps in fired:
+            assert fired_at_ps == request.complete_time_ps
+        channel = stats.group("channel0")
+        dummies = channel.get("dummy_reads") + channel.get("dummy_writes")
+        assert dummies == 8
+        assert channel.get("requests_serviced") == (
+            channel.get("reads") + channel.get("writes") + dummies
+        )
+        assert dummies == (
+            channel.get("dummy_reads_answered") + channel.get("dummy_writes_dropped")
+        )
+
+
 class TestWriteHandling:
     def test_write_completes(self):
         engine, _, system = make_system()

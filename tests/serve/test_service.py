@@ -31,6 +31,7 @@ from repro.serve.service import (
 from repro.system.config import MachineConfig
 
 from tests.serve.helpers import FAST_SPEC, fast_jobspec, slow_spec
+from tests.strategies import JSON_VALUES
 
 
 def run(coroutine):
@@ -297,22 +298,6 @@ class TestDrain:
             assert any(job.state is JobState.CANCELLED for job in jobs)
 
         run(scenario())
-
-
-#: Any value ``json.loads`` can return, NaN and the infinities included,
-#: with values that are easy to mishandle (huge, negative, wrong type)
-#: drawn often.
-JSON_VALUES = st.recursive(
-    st.sampled_from(
-        [None, True, 0, -1, 10**400, float("nan"), float("-inf"), "x", "", [], {}]
-    )
-    | st.integers()
-    | st.floats()
-    | st.text(max_size=8),
-    lambda children: st.lists(children, max_size=3)
-    | st.dictionaries(st.text(max_size=6), children, max_size=3),
-    max_leaves=8,
-)
 
 
 def objects(cls, values, *extra: str) -> st.SearchStrategy:

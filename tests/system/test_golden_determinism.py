@@ -19,6 +19,10 @@ every cell paused-and-resumed — snapshot the world at an event budget, thaw
 the pickled blob, continue, repeat — and must land on the same golden
 number.  Passing both lanes for every scheme means snapshot/restore is
 invisible to the physics.
+
+Both lanes also check transaction conservation in every channel: each
+request a channel accepted was serviced, and under FIXED dummies (every
+cell's default) no dummy reached the array.
 """
 
 import json
@@ -26,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.config import DummyAddressPolicy
 from repro.cpu.generator import make_trace
 from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -58,6 +63,21 @@ def _cells():
         )
 
 
+def assert_transactions_conserved(stats: dict, machine: MachineConfig) -> None:
+    """Per channel: serviced = accepted; FIXED dummies never reach the array."""
+    channels = {key.split(".", 1)[0] for key in stats if key.startswith("channel")}
+    for channel in channels:
+
+        def count(name: str) -> int:
+            return stats.get(f"{channel}.{name}", 0)
+
+        dummies = count("dummy_reads") + count("dummy_writes")
+        dropped = count("dummy_reads_answered") + count("dummy_writes_dropped")
+        assert count("requests_serviced") == count("reads") + count("writes") + dummies
+        if machine.dummy_policy is DummyAddressPolicy.FIXED:
+            assert dummies == dropped
+
+
 @pytest.mark.parametrize(
     "bench_name, level, machine_kwargs, cores, expected", _cells()
 )
@@ -75,6 +95,7 @@ def test_execution_time_matches_golden(bench_name, level, machine_kwargs, cores,
     # Bit-identical, not approximately equal: execution_time_ns is an exact
     # integer picosecond count divided by 1000, so == is well-defined.
     assert result.execution_time_ns == expected
+    assert_transactions_conserved(result.stats, MachineConfig(**machine_kwargs))
 
 
 @pytest.mark.parametrize(
@@ -108,7 +129,9 @@ def test_snapshot_resume_matches_golden(
         hops += 1
         budget *= 2
     assert hops >= 1
-    assert world.result().execution_time_ns == expected
+    result = world.result()
+    assert result.execution_time_ns == expected
+    assert_transactions_conserved(result.stats, world.machine)
 
 
 def test_golden_grid_is_complete():

@@ -5,6 +5,8 @@ import pytest
 from repro.cpu.generator import make_trace
 from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.crypto.rng import DeterministicRng
+from repro.experiments.checkpoints import build_world
+from repro.experiments.executor import JobSpec
 from repro.sim.engine import Engine
 from repro.sim.statistics import StatRegistry
 from repro.system.builder import build_system
@@ -148,3 +150,28 @@ class TestObfusMemTrafficInvariants:
         )
         dropped = result.stats.get("channel0.dummy_writes_dropped", 0)
         assert dropped > 0
+
+
+class TestEventBudget:
+    """Kernel events per run are pinned, so changing them is deliberate.
+
+    A channel transaction posts a completion event only when someone waits
+    on it; dummies, posted writes, a write's counter fetch, prefetches and
+    write-backs are stamped at issue.  ORAM's timing model runs two events
+    per request.
+    """
+
+    @pytest.mark.parametrize(
+        "level, events",
+        [
+            ("unprotected", 2_791),
+            ("encryption_only", 4_774),
+            ("obfusmem_auth", 9_129),
+            ("hide", 2_791),
+            ("oram", 2_000),
+        ],
+    )
+    def test_events_executed(self, level, events):
+        world = build_world(JobSpec("mcf", level, num_requests=1000, seed=2017))
+        world.run()
+        assert world.events_executed == events
