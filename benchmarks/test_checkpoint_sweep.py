@@ -7,9 +7,9 @@ left behind instead of re-simulating the shared prefix from zero (see
 the common incremental one: a short sweep has already run with a
 checkpoint store (the untimed seed phase), and now the sweep is
 *extended* to longer traces.  Cold, every extension job replays its full
-event stream; warm, each forks near the frontier the seed phase reached
-and simulates only the remainder — a >5x reduction in kernel events on
-this grid.
+event stream; warm, each forks from the snapshot its next-shorter sibling
+saved at 90 % trace progress and simulates only the remainder — a >4x
+reduction in kernel events on this grid.
 
 The test asserts the warm results are **bit-identical** to the cold ones
 (execution times and full stats) and that warm is at least 2x faster in
@@ -34,7 +34,6 @@ SWEEP_BENCHMARK = "mcf"
 SWEEP_SCHEME = "obfusmem_auth"  # the paper's full scheme; uniform event cost
 SEED_LENGTHS = [1000, 2000, 3000, 4000, 5000]  # untimed: populates the store
 EXTENSION_LENGTHS = [6000, 7000, 8000, 9000, 10000]  # timed: cold vs warm
-CHECKPOINT_INTERVAL_EVENTS = 5_000
 MIN_WARM_SPEEDUP = 2.0
 OUTPUT_PATH = Path(__file__).parent / "BENCH_checkpoint_sweep.json"
 
@@ -48,10 +47,8 @@ def _specs(lengths):
     ]
 
 
-def _run_extension(store=None, interval=CHECKPOINT_INTERVAL_EVENTS):
-    runner = ParallelRunner(
-        workers=1, checkpoints=store, checkpoint_interval_events=interval
-    )
+def _run_extension(store=None):
+    runner = ParallelRunner(workers=1, checkpoints=store)
     started = time.perf_counter()
     results = runner.run(_specs(EXTENSION_LENGTHS), label="checkpoint-sweep")
     return results, time.perf_counter() - started
@@ -71,11 +68,9 @@ def test_warm_extension_is_twice_as_fast_and_bit_identical(benchmark):
         # Seed phase (untimed): the short sweep that, in the modelled
         # workflow, already ran yesterday and left its snapshots behind.
         seed_started = time.perf_counter()
-        ParallelRunner(
-            workers=1,
-            checkpoints=store,
-            checkpoint_interval_events=CHECKPOINT_INTERVAL_EVENTS,
-        ).run(_specs(SEED_LENGTHS), label="checkpoint-sweep-seed")
+        ParallelRunner(workers=1, checkpoints=store).run(
+            _specs(SEED_LENGTHS), label="checkpoint-sweep-seed"
+        )
         _runs["seed_s"] = time.perf_counter() - seed_started
 
         results, elapsed = run_once(benchmark, _run_extension, store)
@@ -103,7 +98,6 @@ def _emit():
         "scheme": SWEEP_SCHEME,
         "seed_lengths": SEED_LENGTHS,
         "extension_lengths": EXTENSION_LENGTHS,
-        "checkpoint_interval_events": CHECKPOINT_INTERVAL_EVENTS,
         "seed_s": round(_runs.get("seed_s", 0.0), 4),
         "cold_s": round(_runs["cold_s"], 4),
         "warm_s": round(_runs["warm_s"], 4),

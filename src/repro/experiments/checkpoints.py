@@ -17,12 +17,16 @@ Two consumers share the store:
   a trace prefix, so a safe-prefix checkpoint saved by the ``n=1000`` job
   lets the ``n=4000`` job skip the first chunk of its simulation entirely:
   thaw, retarget onto the longer traces, run only the remainder.
-  :func:`execute_with_checkpoints` packages that fork-or-cold decision, and
-  :class:`~repro.experiments.executor.ParallelRunner` applies it to every
-  sweep job when given a store.
-* **Preemptible serving** — the worker pool checkpoints a long job when its
-  deadline slice expires and requeues it; the next slice resumes from the
-  stored blob instead of starting over (see :mod:`repro.serve.pool`).
+  :class:`~repro.experiments.executor.ParallelRunner` runs every sweep job
+  through :func:`execute_with_checkpoints` when given a store; each run
+  saves one snapshot near the end of its trace.
+* **Preemptible serving** — the worker pool runs a budgeted job through
+  :func:`execute_with_checkpoints` with a deadline; past it, the world is
+  saved and the job requeued, and the next slice resumes from the stored
+  blob instead of starting over (see :mod:`repro.serve.pool`).
+
+:func:`execute_with_checkpoints` is the one loop that runs a
+:class:`~repro.system.world.SimWorld` in slices, for both consumers.
 
 Durability properties are inherited from
 :class:`~repro.experiments.executor.JsonFileCache`: atomic write-then-rename,
@@ -30,8 +34,8 @@ damage degrading to a miss, and one shared LRU byte budget with the result
 and trace entries — checkpoints are by far the largest entries, so a
 byte-bounded directory naturally sheds the *oldest* checkpoints first and a
 long-running service stays bounded-memory.  On top of that, :meth:`put`
-prunes each (prefix, length) family to its deepest few snapshots so a long
-job's periodic saves do not accumulate.
+prunes each (prefix, length) family to its deepest few snapshots so a
+family's saves do not accumulate.
 """
 
 from __future__ import annotations
@@ -42,15 +46,24 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import CheckpointError
-from repro.experiments.executor import CACHE_SCHEMA_VERSION, JobSpec, JsonFileCache
+from repro.experiments.executor import (
+    CACHE_SCHEMA_VERSION,
+    SAVE_MILESTONES,
+    JobSpec,
+    JsonFileCache,
+)
 from repro.system.simulator import RunResult
 from repro.system.world import SimCheckpoint, SimWorld
 
-#: Default kernel-event slice between periodic checkpoint saves.  A default
-#: executor job (4000 requests) executes on the order of 1e5 events, so this
-#: yields a handful of save points per job — enough to fork from, cheap
-#: enough to never dominate the run.
-DEFAULT_CHECKPOINT_INTERVAL_EVENTS = 50_000
+#: Kernel events between wall-clock checks while a run has a deadline —
+#: small enough that a slice overshoots its deadline by milliseconds, large
+#: enough that the check never shows up in a profile.
+DEADLINE_SLICE_EVENTS = 20_000
+
+#: Kernel events per request of the lightest scheme: the opaque ORAM
+#: backends run ~2, the wire schemes 2.8-9.1.  Milestone probes are sized
+#: from it.
+_LIGHTEST_EVENTS_PER_REQUEST = 2.0
 
 #: How many snapshots :meth:`CheckpointStore.put` keeps per (prefix, length)
 #: family — the deepest ones win, older save points are pruned.
@@ -76,11 +89,12 @@ class StoredCheckpoint:
 class CheckpointedRun:
     """What :func:`execute_with_checkpoints` did for one spec."""
 
-    result: RunResult
+    #: None when the deadline passed first and the world was saved instead.
+    result: RunResult | None
     #: Kernel events the resumed world had already executed at thaw time
     #: (0 for a cold start).
     forked_from_events: int
-    #: Periodic snapshots persisted during this run.
+    #: Snapshots persisted during this run (milestone and deadline saves).
     checkpoints_saved: int
     #: Kernel events this run actually executed (total minus forked).
     events_executed: int
@@ -212,20 +226,6 @@ class CheckpointStore(JsonFileCache):
 # Execution helpers
 
 
-def build_world(spec: JobSpec) -> SimWorld:
-    """A cold :class:`SimWorld` for one spec (traces via the trace cache)."""
-    from repro.cpu.spec_profiles import SPEC_PROFILES
-    from repro.experiments.trace_cache import traces_for_benchmark
-
-    profile = SPEC_PROFILES[spec.benchmark]
-    traces = traces_for_benchmark(
-        spec.benchmark, spec.num_requests, spec.seed, cores=spec.cores
-    )
-    return SimWorld(
-        traces, spec.level, machine=spec.machine, window=profile.window, seed=spec.seed
-    )
-
-
 def world_for_spec(
     spec: JobSpec, store: CheckpointStore | None
 ) -> tuple[SimWorld, int]:
@@ -238,10 +238,10 @@ def world_for_spec(
     checkpoints accelerate, they can never be required for correctness.
     """
     if store is None:
-        return build_world(spec), 0
+        return spec.world(), 0
     entry = store.deepest(spec)
     if entry is None:
-        return build_world(spec), 0
+        return spec.world(), 0
     try:
         world = entry.checkpoint.thaw()
         if entry.num_requests != spec.num_requests:
@@ -255,71 +255,76 @@ def world_for_spec(
         return world, entry.checkpoint.events_executed
     except CheckpointError:
         entry.path.unlink(missing_ok=True)
-        return build_world(spec), 0
+        return spec.world(), 0
 
 
 def execute_with_checkpoints(
     spec: JobSpec,
     store: CheckpointStore | None,
-    interval_events: int = DEFAULT_CHECKPOINT_INTERVAL_EVENTS,
-    save_milestones: tuple[float, ...] | None = None,
+    save_milestones: tuple[float, ...] = SAVE_MILESTONES,
+    deadline: float | None = None,
 ) -> CheckpointedRun:
-    """Run one spec warm-from-checkpoint, saving new snapshots on the way.
+    """Run one spec warm-from-checkpoint, pausing it in slices on the way.
 
-    The simulation executes in ``interval_events`` slices.  With the
-    default ``save_milestones=None``, a snapshot is persisted at *every*
-    slice boundary that is still a safe prefix (the original periodic
-    policy; fine for long jobs where the interval yields a handful of
-    saves).  A snapshot save costs a full world pickle — milliseconds —
-    while pausing the engine costs nothing, so schedulers that slice
-    finely pass ``save_milestones``: a sorted tuple of trace-progress
-    fractions, and a snapshot is saved only at the first boundary past
-    each milestone (``()`` forks from the store but never saves — right
-    for the deepest member of a sweep family, whose snapshots nobody
-    would ever fork from).  The result is bit-identical to
-    :meth:`JobSpec.execute` — the golden-determinism suite holds this
-    over the whole scheme grid.
+    This is the only loop that runs a :class:`SimWorld` in slices.  The
+    world forks from the deepest usable snapshot in ``store``; then:
+
+    * ``save_milestones`` — trace-progress fractions.  One snapshot is
+      saved at the first slice boundary past each milestone, if the world
+      is still a safe prefix there.  Slices are sized adaptively from the
+      event rate observed so far, so a run reaches each milestone in a
+      handful of pauses whatever its scheme's events per request.  ``()``
+      forks from the store but never saves — right for the deepest member
+      of a sweep family, whose snapshots nobody would fork from.
+    * ``deadline`` — a :func:`time.perf_counter` value.  The clock is read
+      after every slice of at most :data:`DEADLINE_SLICE_EVENTS` events;
+      past the deadline the paused world is saved to ``store`` and the run
+      returns with ``result=None``, so a later call resumes it.  The clock
+      is only read after a slice, so every call makes progress.
+
+    Without a store the run neither forks nor saves nor preempts.  A
+    finished result is bit-identical to :meth:`JobSpec.execute` — the
+    golden-determinism suite holds this over the whole scheme grid.
     """
     world, forked_from = world_for_spec(spec, store)
-    interval = max(1, int(interval_events))
-    saved = 0
     if store is None:
-        world.run()
-    elif save_milestones is None:
-        while not world.run(stop_after_events=interval):
+        save_milestones, deadline = (), None
+    pending = sorted(save_milestones)
+    if pending:
+        # Half the events the lightest scheme spends past the last
+        # milestone: a slice boundary then lands between it and the end of
+        # the run whatever the scheme, so the run sees the milestone.
+        tail = world.total_requests * _LIGHTEST_EVENTS_PER_REQUEST * (1.0 - pending[-1])
+        floor = max(32, int(tail / 2))
+    saved = 0
+    result = None
+    while result is None:
+        progress = world.trace_progress
+        if pending and progress >= pending[0]:
             if world.safe_prefix:
                 store.put(spec, world.snapshot())
                 saved += 1
-    else:
-        # Adaptive probing: estimate the event cost of reaching the next
-        # milestone from the rate observed so far (events executed over
-        # trace progress), undershoot it slightly, and re-probe.  A run
-        # reaches each milestone in a handful of slices whatever the
-        # scheme's events-per-request rate — fixed-interval slicing would
-        # need hundreds of pauses on heavy schemes to catch a late
-        # milestone on light ones.
-        pending = sorted(save_milestones)
-        finished = False
-        while pending and not finished:
-            progress = world.trace_progress
-            if progress >= pending[0]:
-                if world.safe_prefix:
-                    store.put(spec, world.snapshot())
-                    saved += 1
-                pending = [m for m in pending if progress < m]
-                continue
-            if progress > 0 and world.events_executed > 0:
-                estimate = world.events_executed / progress
-                step = max(
-                    interval, int((pending[0] - progress) * estimate * 0.9)
-                )
-            else:
-                step = interval
-            finished = world.run(stop_after_events=step)
-        if not finished:
-            world.run()
+            pending = [m for m in pending if progress < m]
+            continue
+        step = None
+        if pending:
+            # Undershoot the estimated cost of reaching the milestone
+            # slightly, then re-probe.
+            estimate = world.events_executed / progress if progress > 0 else 0.0
+            step = max(floor, int((pending[0] - progress) * estimate * 0.9))
+        if deadline is not None and (step is None or step > DEADLINE_SLICE_EVENTS):
+            step = DEADLINE_SLICE_EVENTS
+        if world.run(stop_after_events=step):
+            result = world.result()
+        elif deadline is not None and time.perf_counter() >= deadline:
+            try:
+                store.put(spec, world.snapshot())
+            except (CheckpointError, OSError):
+                continue  # cannot persist progress: keep simulating
+            saved += 1
+            break
     return CheckpointedRun(
-        result=world.result(),
+        result=result,
         forked_from_events=forked_from,
         checkpoints_saved=saved,
         events_executed=world.events_executed - forked_from,
@@ -329,35 +334,19 @@ def execute_with_checkpoints(
 def _checkpointed_job(item: tuple) -> "ExecutionOutcome":
     """Worker entry point used by :class:`ParallelRunner` (fork-pool safe).
 
-    Returns an :class:`~repro.experiments.executor.ExecutionOutcome` whose
-    provenance fields record whether (and how deep) the job forked from a
-    stored snapshot, so the run manifest can audit warm starts.
+    ``item`` is ``(spec, store, save_milestones)``.  Returns an
+    :class:`~repro.experiments.executor.ExecutionOutcome` whose provenance
+    fields record whether (and how deep) the job forked from a stored
+    snapshot, so the run manifest can audit warm starts.
     """
     from repro.experiments.executor import ExecutionOutcome
 
-    spec, directory, max_bytes, interval, milestones = item
-    store = CheckpointStore(directory, max_bytes=max_bytes)
+    spec, store, save_milestones = item
     started = time.perf_counter()
-    run = execute_with_checkpoints(
-        spec, store, interval_events=interval, save_milestones=milestones
-    )
+    run = execute_with_checkpoints(spec, store, save_milestones=save_milestones)
     return ExecutionOutcome(
         result=run.result,
         wall_ms=(time.perf_counter() - started) * 1000.0,
         checkpoint_hits=1 if run.forked_from_events > 0 else 0,
         resumed_from_events=run.forked_from_events,
     )
-
-
-def checkpointed_jobs(
-    store: CheckpointStore,
-    interval_events: int,
-    specs: list[JobSpec],
-    save_milestones: tuple[float, ...] | None = None,
-) -> tuple:
-    """(callable, payloads) pair for the runner's execution fan-out."""
-    items = [
-        (spec, str(store.directory), store.max_bytes, interval_events, save_milestones)
-        for spec in specs
-    ]
-    return _checkpointed_job, items

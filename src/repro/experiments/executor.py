@@ -60,7 +60,8 @@ from repro.errors import ConfigurationError
 from repro.schemes import level_for, resolve_scheme, scheme_name_of
 from repro.sim.statistics import StatRegistry
 from repro.system.config import MachineConfig, ProtectionLevel
-from repro.system.simulator import RunResult, run_traces
+from repro.system.simulator import RunResult
+from repro.system.world import SimWorld
 
 #: Bumped whenever the simulation physics or the result format changes in a
 #: way that invalidates previously cached results.  The version participates
@@ -85,6 +86,14 @@ CACHE_BYTES_ENV = "REPRO_CACHE_BYTES"
 
 DEFAULT_REQUESTS = 4000
 DEFAULT_SEED = 2017
+
+#: Trace-progress fractions at which a checkpointed run saves a snapshot
+#: (see :func:`repro.experiments.checkpoints.execute_with_checkpoints`).
+#: A save costs a full world pickle (milliseconds — comparable to
+#: simulating thousands of events), so a run saves once, as late as the
+#: probe slices can catch: the deeper the snapshot, the less of its prefix
+#: a longer run of the family replays.
+SAVE_MILESTONES = (0.9,)
 
 
 def _jsonable(value):
@@ -155,6 +164,10 @@ class JobSpec:
     cores: int = 1
 
     def __post_init__(self) -> None:
+        if self.machine is None:
+            # Positional callers pass None for "the default machine"; the
+            # digest must not tell the two spellings apart.
+            object.__setattr__(self, "machine", MachineConfig())
         if self.benchmark not in SPEC_PROFILES:
             raise ConfigurationError(
                 f"unknown benchmark {self.benchmark!r}; choose from {BENCHMARK_NAMES}"
@@ -194,29 +207,34 @@ class JobSpec:
         del prefix["num_requests"]
         return content_digest({"schema": self.schema, "prefix": prefix})
 
-    def execute(self) -> RunResult:
-        """Run the simulation this spec describes (the result is not cached).
+    def world(self) -> SimWorld:
+        """A cold :class:`~repro.system.world.SimWorld` for this spec.
 
         The front-end traces come through :mod:`repro.experiments.trace_cache`
         and the runner's result store: warm runs skip trace generation
         entirely, cold runs generate and persist.  Cached traces
-        round-trip through JSON exactly, so the result is bit-identical to
-        a direct :func:`repro.system.run_benchmark` either way.
+        round-trip through JSON exactly, so the world is bit-identical to
+        the one :func:`repro.system.run_benchmark` builds either way.
         """
         # Imported lazily: trace_cache builds on this module's store.
         from repro.experiments.trace_cache import traces_for_benchmark
 
-        profile = SPEC_PROFILES[self.benchmark]
         traces = traces_for_benchmark(
             self.benchmark, self.num_requests, self.seed, cores=self.cores
         )
-        return run_traces(
+        return SimWorld(
             traces,
             self.level,
             machine=self.machine,
-            window=profile.window,
+            window=SPEC_PROFILES[self.benchmark].window,
             seed=self.seed,
         )
+
+    def execute(self) -> RunResult:
+        """Run the simulation this spec describes (the result is not cached)."""
+        world = self.world()
+        world.run()
+        return world.result()
 
 
 #: Sweep-construction warnings waiting to be attached to the next manifest.
@@ -766,8 +784,7 @@ class ParallelRunner:
         memory: dict | None = None,
         stats: StatRegistry | None = None,
         checkpoints=None,
-        checkpoint_interval_events: int | None = None,
-        checkpoint_save_milestones: tuple[float, ...] | None = None,
+        checkpoint_save_milestones: tuple[float, ...] = SAVE_MILESTONES,
     ):
         self.workers = max(1, int(workers))
         self.cache = cache
@@ -778,13 +795,12 @@ class ParallelRunner:
         #: When set, cache-missing jobs run through
         #: :func:`~repro.experiments.checkpoints.execute_with_checkpoints`:
         #: they fork from the deepest stored snapshot of their spec family
-        #: and persist fresh snapshots as they go, so a request-count sweep
+        #: and persist a fresh snapshot as they go, so a request-count sweep
         #: pays for each shared trace prefix once.
         self.checkpoints = checkpoints
-        self.checkpoint_interval_events = checkpoint_interval_events
         #: Trace-progress fractions at which checkpointed jobs save
-        #: snapshots (None = periodic per-interval saves; () = fork but
-        #: never save).  See :func:`~repro.experiments.checkpoints.execute_with_checkpoints`.
+        #: snapshots (``()`` = fork but never save).  See
+        #: :func:`~repro.experiments.checkpoints.execute_with_checkpoints`.
         self.checkpoint_save_milestones = checkpoint_save_milestones
 
     def lookup(self, spec) -> tuple[object | None, str]:
@@ -917,22 +933,13 @@ class ParallelRunner:
         """
         if self.checkpoints is not None:
             # Imported lazily: the checkpoint store builds on this module.
-            from repro.experiments.checkpoints import (
-                DEFAULT_CHECKPOINT_INTERVAL_EVENTS,
-                checkpointed_jobs,
-            )
+            from repro.experiments.checkpoints import _checkpointed_job
 
-            interval = (
-                DEFAULT_CHECKPOINT_INTERVAL_EVENTS
-                if self.checkpoint_interval_events is None
-                else self.checkpoint_interval_events
-            )
-            execute_one, payloads = checkpointed_jobs(
-                self.checkpoints,
-                interval,
-                specs,
-                save_milestones=self.checkpoint_save_milestones,
-            )
+            execute_one = _checkpointed_job
+            payloads = [
+                (spec, self.checkpoints, self.checkpoint_save_milestones)
+                for spec in specs
+            ]
         else:
             execute_one, payloads = _execute_job, specs
         context = _fork_context()

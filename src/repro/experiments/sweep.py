@@ -50,7 +50,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro.cpu.spec_profiles import SPEC_PROFILES
@@ -58,6 +58,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.executor import (
     DEFAULT_REQUESTS,
     DEFAULT_SEED,
+    SAVE_MILESTONES,
     JobSpec,
     ParallelRunner,
     ResultCache,
@@ -424,10 +425,11 @@ class CostModel:
 
     The decision is made at plan time from request counts alone (requests
     are the spec-level proxy for kernel events, which scale linearly with
-    them).  Forking pays a fixed restore-and-retarget toll plus periodic
-    snapshot saves, so tiny shared prefixes are not worth it: a point
-    warm-starts only when the shared prefix clears both an absolute floor
-    and a fraction of its own length.
+    them).  Forking pays a fixed restore-and-retarget toll plus a snapshot
+    save in the seeding run, so tiny shared prefixes are not worth it: a
+    point warm-starts only when the shared prefix clears both an absolute
+    floor and a fraction of its own length.  Seeding runs save at
+    :data:`~repro.experiments.executor.SAVE_MILESTONES`.
     """
 
     #: Minimum shared-prefix length (requests) that can amortize one
@@ -436,42 +438,6 @@ class CostModel:
     #: Minimum fraction of the point's own length the shared prefix must
     #: cover for the fork to matter.
     min_shared_fraction: float = 0.10
-    #: Conservative kernel-events-per-request floor across schemes (an
-    #: opaque ORAM backend runs ~2 events/request; wire schemes run 2.8-9.1).
-    #: Sizing the probe slice from the floor guarantees several slice
-    #: boundaries land inside even the lightest scheme's shared prefix.
-    min_events_per_request: float = 2.0
-    #: Trace-progress fraction at which seeding runs persist a snapshot.
-    #: Saves cost a full world pickle each (milliseconds — comparable to
-    #: simulating thousands of events), so each seeding member saves once,
-    #: as late as the probe granularity can catch: the deeper the
-    #: snapshot, the less of its prefix the next family member replays.
-    save_milestones: tuple[float, ...] = (0.9,)
-
-    def interval_for(self, plan: "SweepPlan") -> int | None:
-        """A probe-slice interval sized to the plan's shortest fork.
-
-        Slice boundaries are where progress is checked against
-        :attr:`save_milestones`, so one must land between the last
-        milestone and the end of even the *lightest* scheme's shortest
-        seeding run (~``min_events_per_request`` events per request) — or
-        that run finishes before ever observing the milestone and its
-        family runs cold.  Pausing the engine this often is free; the
-        50k-event default assumes full-length jobs and overshoots short
-        sweep families entirely.  Returns ``None`` when the plan has no
-        warm starts (the interval is then irrelevant).
-        """
-        shared = [
-            job.shared_requests
-            for wave in plan.waves
-            for job in wave
-            if job.warm_start
-        ]
-        if not shared:
-            return None
-        tail = 1.0 - max(self.save_milestones)
-        events = min(shared) * self.min_events_per_request
-        return max(32, int(events * tail / 2))
 
     def worth_forking(self, shared_requests: int, total_requests: int) -> bool:
         """True when forking from a ``shared_requests``-deep snapshot pays."""
@@ -657,7 +623,6 @@ def run_sweep(
     workers: int = 1,
     cache: ResultCache | None = None,
     checkpoints=None,
-    checkpoint_interval_events: int | None = None,
     cost_model: CostModel | None = None,
     label: str = "sweep",
     progress=None,
@@ -666,9 +631,10 @@ def run_sweep(
     """Execute a compiled sweep on the prefix-sharing schedule.
 
     Each wave runs through :class:`~repro.experiments.executor.ParallelRunner`
-    in two batches — checkpoint-store jobs (they fork and/or seed snapshots)
-    and pure cold jobs — sharing one in-memory result dict and the given
-    persistent ``cache``.  Wave *k+1* starts only after wave *k* finishes,
+    in three batches — seeding jobs (they may fork, and save one snapshot
+    at :data:`~repro.experiments.executor.SAVE_MILESTONES`), fork-only
+    jobs, and pure cold jobs — sharing one in-memory result dict and the
+    given persistent ``cache``.  Wave *k+1* starts only after wave *k* finishes,
     so every planned warm start finds its seed snapshot.  Results are
     bit-identical to cold execution (the checkpoint protocol guarantees it;
     the sweep-scaling benchmark asserts it end to end).
@@ -686,10 +652,7 @@ def run_sweep(
     else:
         jobs = list(compiled)
         warnings = []
-    model = cost_model or CostModel()
-    plan = plan_sweep(jobs, cost_model=model)
-    if checkpoint_interval_events is None and checkpoints is not None:
-        checkpoint_interval_events = model.interval_for(plan)
+    plan = plan_sweep(jobs, cost_model=cost_model)
     started = _time.perf_counter()
     memory: dict[str, RunResult] = {}
     records = []
@@ -703,7 +666,6 @@ def run_sweep(
             cache=cache,
             memory=memory,
             checkpoints=store,
-            checkpoint_interval_events=checkpoint_interval_events,
             checkpoint_save_milestones=milestones,
         )
         batch_results = runner.run(specs, label=label, progress=progress)
@@ -721,14 +683,14 @@ def run_sweep(
         run_batch(
             [job.spec for job in wave if job.use_store and job.save_snapshots],
             checkpoints,
-            model.save_milestones,
+            SAVE_MILESTONES,
         )
         run_batch(
             [job.spec for job in wave if job.use_store and not job.save_snapshots],
             checkpoints,
             (),
         )
-        run_batch([job.spec for job in wave if not job.use_store], None, None)
+        run_batch([job.spec for job in wave if not job.use_store], None, ())
 
     wall_clock_s = _time.perf_counter() - started
     manifest = RunManifest(

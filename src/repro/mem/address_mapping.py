@@ -17,9 +17,39 @@ from repro.mem.request import BLOCK_OFFSET_BITS, BLOCK_SIZE_BYTES
 
 
 def _log2_exact(value: int, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
     if value <= 0 or value & (value - 1):
         raise ConfigurationError(f"{what} must be a positive power of two, got {value}")
     return value.bit_length() - 1
+
+
+def organization_bits(
+    capacity_bytes: int,
+    channels: int,
+    ranks_per_channel: int,
+    banks_per_rank: int,
+    row_buffer_bytes: int,
+) -> tuple[int, int, int, int, int]:
+    """Field widths ``(channel, rank, bank, column, row)`` of a RoRaBaChCo layout.
+
+    Raises :class:`~repro.errors.ConfigurationError` for any organization
+    the decoder cannot address: a count that is not a positive power of
+    two, a row buffer of partial blocks, or a capacity with no row bits
+    left.  :class:`~repro.system.config.MachineConfig` runs the same check
+    at construction, so a bad organization fails where it is specified.
+    """
+    channel_bits = _log2_exact(channels, "channels")
+    rank_bits = _log2_exact(ranks_per_channel, "ranks per channel")
+    bank_bits = _log2_exact(banks_per_rank, "banks per rank")
+    if row_buffer_bytes % BLOCK_SIZE_BYTES:
+        raise ConfigurationError("row buffer must hold whole blocks")
+    column_bits = _log2_exact(row_buffer_bytes // BLOCK_SIZE_BYTES, "blocks per row")
+    fixed_bits = BLOCK_OFFSET_BITS + column_bits + channel_bits + bank_bits + rank_bits
+    row_bits = _log2_exact(capacity_bytes, "capacity") - fixed_bits
+    if row_bits <= 0:
+        raise ConfigurationError("capacity too small for this organization")
+    return channel_bits, rank_bits, bank_bits, column_bits, row_bits
 
 
 class DecodedAddress(NamedTuple):
@@ -56,26 +86,20 @@ class AddressMapping:
         self.banks_per_rank = banks_per_rank
         self.row_buffer_bytes = row_buffer_bytes
 
-        self._channel_bits = _log2_exact(channels, "channels")
-        self._rank_bits = _log2_exact(ranks_per_channel, "ranks per channel")
-        self._bank_bits = _log2_exact(banks_per_rank, "banks per rank")
-        if row_buffer_bytes % BLOCK_SIZE_BYTES:
-            raise ConfigurationError("row buffer must hold whole blocks")
-        self.blocks_per_row = row_buffer_bytes // BLOCK_SIZE_BYTES
-        self._column_bits = _log2_exact(self.blocks_per_row, "blocks per row")
-        _log2_exact(capacity_bytes, "capacity")
-
-        fixed_bits = (
-            BLOCK_OFFSET_BITS
-            + self._column_bits
-            + self._channel_bits
-            + self._bank_bits
-            + self._rank_bits
+        (
+            self._channel_bits,
+            self._rank_bits,
+            self._bank_bits,
+            self._column_bits,
+            self._row_bits,
+        ) = organization_bits(
+            capacity_bytes,
+            channels,
+            ranks_per_channel,
+            banks_per_rank,
+            row_buffer_bytes,
         )
-        total_bits = _log2_exact(capacity_bytes, "capacity")
-        self._row_bits = total_bits - fixed_bits
-        if self._row_bits <= 0:
-            raise ConfigurationError("capacity too small for this organization")
+        self.blocks_per_row = row_buffer_bytes // BLOCK_SIZE_BYTES
         self.rows_per_bank = 1 << self._row_bits
         self.num_blocks = capacity_bytes // BLOCK_SIZE_BYTES
         # Decode memo: coordinates are pure functions of the address and

@@ -264,14 +264,15 @@ class CacheHierarchy:
     ) -> str:
         """L1 missed: walk L2 / L3 / memory; returns the hit level.
 
-        Mirrors the reference implementation's operation order exactly so
+        Mirrors the operation order of the reference implementation
+        (:class:`~repro.mem.reference.ReferenceCacheHierarchy`) exactly so
         LRU state, coherence actions and traffic tuples stay bit-identical.
-        The slot operations of :meth:`_fill_l1` / :meth:`_fill_private` /
-        :meth:`_insert_l3` are inlined here (this is the second-hottest
-        loop after the L1 probe); ``block`` is known absent from L1 and L2
-        at each insertion point, so the membership probes those helpers
-        would re-run are skipped.  Rare coherence branches (remote sharers,
-        dirty-victim absorption) stay as helper calls.
+        Its L3 insert and L2/L1 fills are inlined here as slot operations
+        (this is the second-hottest loop after the L1 probe); ``block`` is
+        known absent from L1 and L2 at each insertion point, so the
+        membership probes a generic insert would re-run are skipped.  Rare
+        coherence branches (remote sharers, dirty-victim absorption) stay as
+        helper calls.
         """
         modified = ST_MODIFIED
         sharers_map = self._sharers
@@ -384,12 +385,6 @@ class CacheHierarchy:
         sharers.add(core_id)
         return level
 
-    def _fill_state(self, core_id: int, block: int) -> int:
-        sharers = self._sharers.get(block)
-        if sharers and (len(sharers) > 1 or core_id not in sharers):
-            return ST_SHARED
-        return ST_EXCLUSIVE
-
     def _upgrade_for_write(self, core_id: int, block: int, state: int) -> None:
         if state != ST_MODIFIED:
             # Invalidate other sharers (MESI upgrade / invalidation).
@@ -422,45 +417,6 @@ class CacheHierarchy:
                 if self.l3._peek(block) is not None:
                     self.l3._set_state_slot(block, ST_MODIFIED)
                 self._p_dirty_forwards += 1
-
-    def _fill_l1(self, core_id: int, block: int, state: int) -> None:
-        victim = self.l1[core_id]._insert_slot(block, state)
-        if victim is not None and victim[1] == ST_MODIFIED:
-            # Dirty L1 victims are absorbed by L2 (write-back hierarchy).
-            self.l2[core_id]._insert_slot(victim[0], ST_MODIFIED)
-        sharers = self._sharers.get(block)
-        if sharers is None:
-            sharers = self._sharers[block] = set()
-        sharers.add(core_id)
-
-    def _fill_private(self, core_id: int, block: int, state: int) -> None:
-        victim = self.l2[core_id]._insert_slot(block, state)
-        if victim is not None:
-            victim_block, victim_state = victim
-            self.l1[core_id]._invalidate_slot(victim_block)
-            sharers = self._sharers.get(victim_block)
-            if sharers is not None:
-                sharers.discard(core_id)
-            if victim_state == ST_MODIFIED and self.l3._peek(victim_block) is not None:
-                self.l3._set_state_slot(victim_block, ST_MODIFIED)
-        self._fill_l1(core_id, block, state)
-
-    def _insert_l3(self, block: int, traffic: list[tuple[int, bool]]) -> None:
-        victim = self.l3._insert_slot(block, ST_EXCLUSIVE)
-        if victim is not None:
-            victim_block, victim_state = victim
-            dirty = victim_state == ST_MODIFIED
-            # Inclusive L3: back-invalidate private copies of the victim.
-            sharers = self._sharers.get(victim_block)
-            if sharers:
-                for core in list(sharers):
-                    dirty |= self.l1[core]._invalidate_slot(victim_block)
-                    dirty |= self.l2[core]._invalidate_slot(victim_block)
-                    sharers.discard(core)
-                    self._p_back_invalidations += 1
-            if dirty:
-                traffic.append((victim_block << BLOCK_OFFSET_BITS, True))
-                self._p_writebacks += 1
 
     # ------------------------------------------------------------------
 

@@ -174,17 +174,6 @@ class JobBoard:
         """Every known job, oldest first."""
         return list(self._jobs.values())
 
-    def running_leader(self, digest: str) -> Job | None:
-        """A non-terminal job already working on ``digest``, if any.
-
-        Duplicate submissions coalesce onto this leader instead of
-        simulating the same spec twice concurrently.
-        """
-        for job in self._jobs.values():
-            if job.digest == digest and not job.state.terminal:
-                return job
-        return None
-
     async def advance(
         self,
         job: Job,

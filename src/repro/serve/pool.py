@@ -14,11 +14,12 @@ The moving parts:
   :class:`~repro.experiments.executor.ResultCache`, simulate on a miss
   (counting kernel events), persist, reply.  With a cache directory the
   worker also holds a :class:`~repro.experiments.checkpoints.
-  CheckpointStore`: a budgeted job that cannot finish in time is
-  *checkpointed and preempted* — the worker snapshots the live
-  :class:`~repro.system.world.SimWorld`, persists it, and replies
-  ``preempted`` instead of being killed; the job requeues and its next
-  slice resumes from the snapshot.
+  CheckpointStore` and runs a budgeted job through
+  :func:`~repro.experiments.checkpoints.execute_with_checkpoints` with a
+  deadline: a job that cannot finish in time is *checkpointed and
+  preempted* — the live :class:`~repro.system.world.SimWorld` is
+  persisted and the worker replies ``preempted`` instead of being killed;
+  the job requeues and its next slice resumes from the snapshot.
 * :class:`WorkerHandle` — the supervisor's view of one worker slot:
   process, pipe, current job, deadline, restart/completion counters.
 * :class:`WorkerPool` — the supervisor: shards queued jobs by spec digest,
@@ -58,58 +59,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.experiments import runner, trace_cache
-from repro.experiments.checkpoints import CheckpointStore, world_for_spec
+from repro.experiments.checkpoints import CheckpointStore, execute_with_checkpoints
 from repro.experiments.executor import _fork_context, result_to_jsonable
 from repro.serve.jobs import Job
-
-#: Kernel events between wall-clock budget checks while a budgeted job
-#: runs — small enough that a slice overshoots its budget by milliseconds,
-#: large enough that the check never shows up in a profile.
-PREEMPT_SLICE_EVENTS = 20_000
-
-
-def _simulate_sliced(spec, store, budget_s):
-    """Run ``spec``, preempting at the wall budget.
-
-    Resumes from the deepest usable snapshot in ``store`` when one exists.
-    Returns ``(result, events, trace_hits, trace_misses, ckpt_hits,
-    ckpt_misses)`` — ``events`` is the kernel events this slice executed
-    (the engine's own count, less the snapshot's), and ``result`` is None
-    when the budget expired before the simulation finished, in which case
-    the live world was checkpointed to ``store`` so the next slice can
-    resume it.  Without a store or budget this degrades to a plain
-    start-to-finish run.
-    """
-    hits_before, misses_before = trace_cache.counters()
-    deadline = None if budget_s is None else time.perf_counter() + float(budget_s)
-    world, forked_from = world_for_spec(spec, store)
-    ckpt_hits, ckpt_misses = (0, 0)
-    if store is not None:
-        ckpt_hits, ckpt_misses = (1, 0) if forked_from else (0, 1)
-    finished = False
-    if deadline is None or store is None:
-        world.run()
-        finished = True
-    else:
-        while True:
-            if world.run(stop_after_events=PREEMPT_SLICE_EVENTS):
-                finished = True
-                break
-            if time.perf_counter() >= deadline:
-                try:
-                    store.put(spec, world.snapshot())
-                except Exception:
-                    continue  # cannot persist progress: keep simulating
-                break
-    hits_after, misses_after = trace_cache.counters()
-    return (
-        world.result() if finished else None,
-        world.events_executed - forked_from,
-        hits_after - hits_before,
-        misses_after - misses_before,
-        ckpt_hits,
-        ckpt_misses,
-    )
 
 
 def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
@@ -160,9 +112,19 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
                 payload = result_to_jsonable(cached)
                 reply = ("ok", job_id, "disk", payload, wall_ms, 0, 0, 0, 0, 0)
             else:
-                result, events, trace_hits, trace_misses, ckpt_hits, ckpt_misses = (
-                    _simulate_sliced(spec, store, budget_s)
+                hits_before, misses_before = trace_cache.counters()
+                run = execute_with_checkpoints(
+                    spec,
+                    store,
+                    save_milestones=(),
+                    deadline=None if budget_s is None else started + float(budget_s),
                 )
+                hits_after, misses_after = trace_cache.counters()
+                events, result = run.events_executed, run.result
+                ckpt_hits = ckpt_misses = 0
+                if store is not None:
+                    forked = run.forked_from_events > 0
+                    ckpt_hits, ckpt_misses = int(forked), int(not forked)
                 if result is None:
                     wall_ms = (time.perf_counter() - started) * 1000.0
                     reply = (
@@ -184,8 +146,8 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
                         result_to_jsonable(result),
                         wall_ms,
                         events,
-                        trace_hits,
-                        trace_misses,
+                        hits_after - hits_before,
+                        misses_after - misses_before,
                         ckpt_hits,
                         ckpt_misses,
                     )

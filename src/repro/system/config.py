@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import AuthMode, ChannelInjection, DummyAddressPolicy, ObfusMemConfig
 from repro.errors import ConfigurationError
+from repro.mem.address_mapping import organization_bits
 from repro.mem.dram_timing import EngineTiming, PcmEnergy, PcmTiming
 from repro.oram.backend import DEFAULT_ACCESS_LATENCY_NS
 
@@ -54,8 +55,15 @@ class MachineConfig:
     def __post_init__(self) -> None:
         if self.channels not in (1, 2, 4, 8, 16):
             raise ConfigurationError(f"unsupported channel count {self.channels}")
-        if self.capacity_bytes <= 0:
-            raise ConfigurationError("capacity must be positive")
+        # Reject every organization the address decoder would, here rather
+        # than when a job first builds the memory system.
+        organization_bits(
+            self.capacity_bytes,
+            self.channels,
+            self.ranks_per_channel,
+            self.banks_per_rank,
+            self.row_buffer_bytes,
+        )
 
     def obfusmem_config(self, auth: AuthMode) -> ObfusMemConfig:
         """ObfusMem controller knobs derived from this machine config."""

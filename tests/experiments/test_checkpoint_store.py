@@ -1,6 +1,8 @@
 """CheckpointStore and the warm-started executor path."""
 
+import base64
 import json
+import time
 
 import pytest
 
@@ -8,7 +10,6 @@ from repro.errors import CheckpointError
 from repro.experiments.checkpoints import (
     KEEP_PER_FAMILY,
     CheckpointStore,
-    build_world,
     execute_with_checkpoints,
     world_for_spec,
 )
@@ -22,9 +23,18 @@ def spec(n=300, **overrides) -> JobSpec:
 
 
 def snapshot_at(job: JobSpec, events: int):
-    world = build_world(job)
+    world = job.world()
     world.run(stop_after_events=events)
     return world.snapshot()
+
+
+def _flip_a_payload_bit(raw: bytes) -> bytes:
+    """The entry with one bit of its pickled world flipped (JSON intact)."""
+    record = json.loads(raw)
+    payload = bytearray(base64.b64decode(record["checkpoint"]["payload_b64"]))
+    payload[len(payload) // 2] ^= 0x10
+    record["checkpoint"]["payload_b64"] = base64.b64encode(payload).decode("ascii")
+    return json.dumps(record).encode()
 
 
 class TestPrefixDigest:
@@ -61,7 +71,7 @@ class TestStore:
     def test_finished_worlds_are_refused(self, tmp_path):
         store = CheckpointStore(tmp_path)
         job = spec(n=100)
-        world = build_world(job)
+        world = job.world()
         world.run()
         with pytest.raises(CheckpointError, match="finished"):
             store.put(job, world.snapshot())
@@ -101,11 +111,23 @@ class TestStore:
         assert min(kept) > 200  # the shallowest saves are gone
 
     def test_damaged_entry_degrades_to_a_miss(self, tmp_path):
-        store = CheckpointStore(tmp_path)
         job = spec()
-        path = store.put(job, snapshot_at(job, 500))
-        path.write_text("not json at all")
-        assert store.deepest(job) is None
+        cold = job.execute()
+        damages = {
+            "garbage": lambda raw: b"not json at all",
+            "truncated": lambda raw: raw[: len(raw) // 2],
+            "zero-length": lambda raw: b"",
+            "bit-flipped payload": _flip_a_payload_bit,
+        }
+        for name, damage in damages.items():
+            store = CheckpointStore(tmp_path / name)
+            path = store.put(job, snapshot_at(job, 500))
+            path.write_bytes(damage(path.read_bytes()))
+            run = execute_with_checkpoints(job, store, save_milestones=())
+            assert run.forked_from_events == 0, name
+            assert run.result.execution_time_ns == cold.execution_time_ns, name
+            assert run.result.stats == cold.stats, name
+            assert store.deepest(job) is None, name
 
     def test_undecodable_payload_falls_back_to_cold(self, tmp_path):
         store = CheckpointStore(tmp_path)
@@ -126,9 +148,9 @@ class TestExecuteWithCheckpoints:
         store = CheckpointStore(tmp_path)
         cold = execute_with_checkpoints(spec(), None)
         assert cold.forked_from_events == 0
-        seeded = execute_with_checkpoints(spec(), store, interval_events=600)
+        seeded = execute_with_checkpoints(spec(), store)
         assert seeded.checkpoints_saved >= 1
-        warm = execute_with_checkpoints(spec(n=600), store, interval_events=600)
+        warm = execute_with_checkpoints(spec(n=600), store)
         assert warm.forked_from_events > 0
         colder = execute_with_checkpoints(spec(n=600), None)
         assert warm.result.execution_time_ns == colder.result.execution_time_ns
@@ -137,10 +159,27 @@ class TestExecuteWithCheckpoints:
 
     def test_warm_run_skips_the_forked_events(self, tmp_path):
         store = CheckpointStore(tmp_path)
-        execute_with_checkpoints(spec(), store, interval_events=600)
-        warm = execute_with_checkpoints(spec(n=600), store, interval_events=600)
+        execute_with_checkpoints(spec(), store)
+        warm = execute_with_checkpoints(spec(n=600), store)
         cold = execute_with_checkpoints(spec(n=600), None)
         assert warm.events_executed < cold.events_executed
+
+    def test_expired_deadline_saves_and_the_next_call_resumes(self, tmp_path):
+        store = CheckpointStore(tmp_path)
+        job = JobSpec("mcf", "obfusmem_auth", num_requests=4000, seed=7)
+        preempted = execute_with_checkpoints(
+            job, store, save_milestones=(), deadline=time.perf_counter()
+        )
+        # The clock is read only after a slice, so even an expired deadline
+        # makes progress before the world is saved.
+        assert preempted.result is None
+        assert preempted.events_executed > 0
+        assert preempted.checkpoints_saved == 1
+        resumed = execute_with_checkpoints(job, store)
+        assert resumed.forked_from_events == preempted.events_executed
+        cold = job.execute()
+        assert resumed.result.execution_time_ns == cold.execution_time_ns
+        assert resumed.result.stats == cold.stats
 
 
 class TestRunnerIntegration:
@@ -152,7 +191,6 @@ class TestRunnerIntegration:
             workers=1,
             cache=ResultCache(tmp_path / "results"),
             checkpoints=store,
-            checkpoint_interval_events=500,
         )
         warm = runner.run(sweep)
         for a, b in zip(cold, warm):

@@ -60,6 +60,16 @@ class TestJobSpec:
         with pytest.raises(ConfigurationError):
             JobSpec("quake", ProtectionLevel.UNPROTECTED)
 
+    def test_none_machine_is_the_default_machine(self):
+        positional = JobSpec("astar", "unprotected", None, 50, 7)
+        keyword = JobSpec("astar", "unprotected", num_requests=50, seed=7)
+        assert positional.digest() == keyword.digest()
+        executor = ParallelRunner(workers=1)
+        (result,) = executor.run([positional])
+        (record,) = executor.manifest.records
+        assert result.stats == keyword.execute().stats
+        assert record.digest == keyword.digest() and record.channels == 1
+
     def test_sweep_specs_grid_order(self):
         levels = [ProtectionLevel.UNPROTECTED, ProtectionLevel.ORAM]
         specs = sweep_specs(["astar", "mcf"], levels, num_requests=100)
@@ -261,7 +271,6 @@ class TestWarmStartProvenance:
         seeder = ParallelRunner(
             workers=1,
             checkpoints=store,
-            checkpoint_interval_events=100,
             checkpoint_save_milestones=(0.5,),
         )
         seeder.run([_spec(num_requests=300)], label="seed")

@@ -25,6 +25,7 @@ from repro.experiments.sweep import (
     plan_sweep,
     run_sweep,
 )
+from repro.schemes import scheme_names
 from repro.system.config import ProtectionLevel
 
 from tests.strategies import JSON_VALUES
@@ -321,24 +322,6 @@ class TestCostModel:
         assert not model.worth_forking(100, 1001)  # below the fraction
         assert not model.worth_forking(0, 100)
 
-    def test_interval_is_none_without_warm_starts(self):
-        plan = plan_sweep([JobSpec("astar", "unprotected", None, 50, SEED)])
-        assert CostModel().interval_for(plan) is None
-
-    def test_interval_scales_with_the_shortest_fork(self):
-        model = CostModel()
-        jobs = [
-            JobSpec("astar", "unprotected", None, n, SEED) for n in (200, 400)
-        ]
-        interval = model.interval_for(plan_sweep(jobs, model))
-        assert interval is not None
-        # A slice boundary must land inside the seeding run's tail even at
-        # the conservative events-per-request floor.
-        tail_events = 200 * model.min_events_per_request * (
-            1.0 - max(model.save_milestones)
-        )
-        assert 32 <= interval <= tail_events
-
 
 class TestPlanSweep:
     def family_jobs(self, lengths, level="encryption_only"):
@@ -418,6 +401,16 @@ class TestRunSweep:
         for a in frontier:
             assert not any(b.dominates(a) for b in frontier)
 
+    @pytest.mark.parametrize("scheme", scheme_names())
+    def test_every_scheme_forks_every_planned_warm_start(self, tmp_path, scheme):
+        # Each run sizes its milestone probe from its own length, so even
+        # the lightest scheme's short seeding run catches its 90 % save.
+        jobs = [JobSpec("astar", scheme, None, n, SEED) for n in (200, 400)]
+        run = run_sweep(jobs, checkpoints=CheckpointStore(tmp_path))
+        assert run.plan.warm_starts_planned == 1
+        assert run.manifest.checkpoint_hits == run.plan.warm_starts_planned
+
+
 class TestCli:
     def _spec_file(self, tmp_path, payload=None):
         path = tmp_path / "sweep.json"
@@ -448,6 +441,28 @@ class TestCli:
         payload = dict(small_spec().to_jsonable(), samples="abc")
         path = self._spec_file(tmp_path, payload)
         with pytest.raises(SystemExit, match="'samples' needs an integer"):
+            main(["sweep", "--spec", str(path), "--dry-run"])
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("capacity_bytes", 1e400, "capacity must be an integer"),
+            ("capacity_bytes", 2.5e9, "capacity must be an integer"),
+            ("capacity_bytes", 3 << 30, "capacity must be a positive power of two"),
+            ("ranks_per_channel", 3, "ranks per channel must be a positive power"),
+        ],
+    )
+    def test_bad_memory_organization_exits_at_compile(
+        self, tmp_path, field, value, message
+    ):
+        from repro.__main__ import main
+
+        payload = small_spec().to_jsonable()
+        payload["axes"][f"machine.{field}"] = [value]
+        with pytest.raises(ConfigurationError, match=message):
+            SweepSpec.from_jsonable(payload).compile()
+        path = self._spec_file(tmp_path, payload)
+        with pytest.raises(SystemExit, match=message):
             main(["sweep", "--spec", str(path), "--dry-run"])
 
     def test_full_run_writes_the_frontier_csv(self, tmp_path, capsys):

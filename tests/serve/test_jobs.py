@@ -102,16 +102,6 @@ class TestJobBoard:
 
         run(scenario())
 
-    def test_running_leader_lookup(self):
-        async def scenario():
-            board = JobBoard()
-            job = board.create(fast_jobspec())
-            assert board.running_leader(job.digest) is job
-            await board.advance(job, JobState.DONE)
-            assert board.running_leader(job.digest) is None
-
-        run(scenario())
-
     def test_to_jsonable_shapes(self):
         async def scenario():
             board = JobBoard()

@@ -16,7 +16,6 @@ import time
 
 import pytest
 
-from repro.experiments.checkpoints import build_world
 from repro.experiments.executor import JobSpec, ResultCache, result_to_jsonable
 from repro.serve.jobs import JobBoard, JobState
 from repro.serve.pool import WorkerPool
@@ -129,7 +128,7 @@ class TestExecution:
         assert ResultCache(tmp_path).get(fast_jobspec()) is not None
 
     def test_cold_job_reports_the_engines_event_count(self):
-        world = build_world(fast_jobspec())
+        world = fast_jobspec().world()
         world.run()
         board = JobBoard()
         probe = PoolProbe()

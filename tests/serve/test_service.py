@@ -350,7 +350,8 @@ class TestDecodeSubmission:
         with pytest.raises(ConfigurationError):
             decode_submission(dict(FAST_SPEC, warp_factor=9))
         # Values that would only fail later: a NaN deadline never fires,
-        # and an empty trace fails in the worker.
+        # and an empty trace or a bad memory organization fails in the
+        # worker.
         for overrides in (
             {"timeout_s": float("nan")},
             {"timeout_s": float("inf")},
@@ -359,6 +360,11 @@ class TestDecodeSubmission:
             {"num_requests": 0},
             {"num_requests": -5},
             {"cores": 0},
+            # Memory organizations the address decoder cannot map.
+            {"machine": {"capacity_bytes": 1e400}},
+            {"machine": {"capacity_bytes": 2.5e9}},
+            {"machine": {"capacity_bytes": 3 << 30}},
+            {"machine": {"ranks_per_channel": 3}},
         ):
             with pytest.raises(ConfigurationError):
                 decode_submission(dict(FAST_SPEC, **overrides))

@@ -5,7 +5,6 @@ import pytest
 from repro.cpu.generator import make_trace
 from repro.cpu.spec_profiles import SPEC_PROFILES
 from repro.crypto.rng import DeterministicRng
-from repro.experiments.checkpoints import build_world
 from repro.experiments.executor import JobSpec
 from repro.sim.engine import Engine
 from repro.sim.statistics import StatRegistry
@@ -172,6 +171,6 @@ class TestEventBudget:
         ],
     )
     def test_events_executed(self, level, events):
-        world = build_world(JobSpec("mcf", level, num_requests=1000, seed=2017))
+        world = JobSpec("mcf", level, num_requests=1000, seed=2017).world()
         world.run()
         assert world.events_executed == events
