@@ -13,11 +13,12 @@ The grid here compiles to 120 points (24 families x 5 request counts over
 two benchmarks, three schemes, two seeds and two channel widths).  The
 test executes it both ways — naive: shuffled, cold, no store; scheduled:
 ``run_sweep`` with a fresh checkpoint store — asserts the scheduled run is
-at least 1.5x faster, that every per-digest result is bit-identical, and
-that the Pareto aggregates (the frontier fold both executions feed) hash
-identically, then writes ``benchmarks/BENCH_sweep_scaling.json``.  The
-win is event-count arithmetic, not machine speed, so the floor holds
-across hosts.
+at least 1.5x faster, that every planned warm start actually forked, that
+every per-digest result is bit-identical, and that the Pareto aggregates
+(the frontier fold both executions feed) hash identically, then writes
+``benchmarks/BENCH_sweep_scaling.json``.  The speedup divides two
+wall-clock phases, so it moves with the host; the warm starts that land,
+and the events they resume, do not.
 """
 
 import json
@@ -86,6 +87,7 @@ def _run_scheduled(jobs, directory):
     run = run_sweep(jobs, workers=1, checkpoints=store, label="sweep-scaling")
     elapsed = time.perf_counter() - started
     _runs["warm_starts"] = run.manifest.checkpoint_hits
+    _runs["warm_starts_planned"] = run.plan.warm_starts_planned
     _runs["events_resumed"] = run.manifest.events_resumed
     _runs["waves"] = len(run.plan.waves)
     _runs["families"] = run.plan.families
@@ -110,6 +112,10 @@ def test_scheduled_sweep_faster_and_bit_identical(benchmark):
         shutil.rmtree(directory, ignore_errors=True)
     _runs["scheduled_s"] = elapsed
     assert _runs["warm_starts"] > 0, "scheduler never forked a checkpoint"
+    assert _runs["warm_starts"] == _runs["warm_starts_planned"], (
+        f"{_runs['warm_starts']} of {_runs['warm_starts_planned']} "
+        "planned warm starts forked"
+    )
     naive_results = _runs.get("naive_results")
     if naive_results is None:
         naive_results, _runs["naive_s"] = _run_naive(jobs)
@@ -137,6 +143,7 @@ def _emit():
         "families": _runs.get("families"),
         "waves": _runs.get("waves"),
         "warm_starts": _runs.get("warm_starts"),
+        "warm_starts_planned": _runs.get("warm_starts_planned"),
         "events_resumed": _runs.get("events_resumed"),
         "naive_s": round(_runs["naive_s"], 4),
         "scheduled_s": round(_runs["scheduled_s"], 4),

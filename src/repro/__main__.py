@@ -19,7 +19,6 @@ to the sweep's run manifest (``<cache-dir>/manifests/<label>.profile.*``).
 from __future__ import annotations
 
 import argparse
-import sys
 
 from repro.cpu.spec_profiles import BENCHMARK_NAMES, SPEC_PROFILES
 from repro.errors import ConfigurationError

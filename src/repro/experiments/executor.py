@@ -237,51 +237,6 @@ class JobSpec:
         return world.result()
 
 
-#: Sweep-construction warnings waiting to be attached to the next manifest.
-#: :func:`sweep_specs` notes duplicate-axis canonicalizations here and
-#: :meth:`ParallelRunner.run` drains the list into its
-#: :attr:`RunManifest.warnings`, so a silently-redundant axis is visible in
-#: the sweep's audit trail, not just on stderr.
-_pending_warnings: list[str] = []
-
-
-def note_sweep_warning(message: str) -> None:
-    """Queue a sweep-construction warning for the next run's manifest."""
-    _pending_warnings.append(message)
-
-
-def drain_sweep_warnings() -> list[str]:
-    """Take (and clear) every queued sweep-construction warning."""
-    drained = list(_pending_warnings)
-    _pending_warnings.clear()
-    return drained
-
-
-def canonicalize_axis(name: str, values, key=None) -> list:
-    """Drop duplicate axis values (order-preserving), warning when any drop.
-
-    ``key`` maps a value to its identity (defaults to the value itself);
-    duplicates are redundant design points that would survive only until
-    digest-level dedup, so they are removed here and the removal is noted
-    via :func:`note_sweep_warning` for the next manifest.
-    """
-    seen: set = set()
-    canonical = []
-    for value in values:
-        identity = key(value) if key is not None else value
-        if identity in seen:
-            continue
-        seen.add(identity)
-        canonical.append(value)
-    dropped = len(list(values)) - len(canonical)
-    if dropped:
-        note_sweep_warning(
-            f"axis {name!r}: dropped {dropped} duplicate value(s) "
-            f"(kept {len(canonical)} unique)"
-        )
-    return canonical
-
-
 def sweep_specs(
     benchmarks: list[str],
     levels: list[ProtectionLevel | str],
@@ -290,16 +245,12 @@ def sweep_specs(
     seed: int = DEFAULT_SEED,
     cores: int = 1,
 ) -> list[JobSpec]:
-    """The full (benchmark x level) grid as specs, in deterministic order.
+    """The full (benchmark x level) grid as specs, benchmark-major.
 
-    Duplicate axis values (a benchmark listed twice, two spellings of one
-    scheme) are canonicalized away rather than compiled into redundant
-    specs; each canonicalization is queued for the next run manifest's
-    ``warnings`` via :func:`note_sweep_warning`.
+    A value listed twice yields digest-identical specs;
+    :meth:`ParallelRunner.run` executes each digest once per call.
     """
     machine = machine or MachineConfig()
-    benchmarks = canonicalize_axis("benchmarks", list(benchmarks))
-    levels = canonicalize_axis("levels", list(levels), key=scheme_name_of)
     return [
         JobSpec(benchmark, level, machine, num_requests, seed, cores)
         for benchmark in benchmarks
@@ -639,9 +590,10 @@ class JobRecord:
 class RunManifest:
     """What one sweep did: job list, cache hits/misses, timing, workers.
 
-    ``warnings`` carries sweep-construction notices (duplicate axis values
-    canonicalized away, design points dropped by digest dedup) so audit
-    trails capture what the sweep compiler changed, not just what ran.
+    ``warnings`` carries a compiled sweep's notices (design points dropped
+    by digest dedup, baseline anchors added), which
+    :func:`~repro.experiments.sweep.run_sweep` copies in, so audit trails
+    capture what the sweep compiler changed, not just what ran.
     """
 
     label: str
@@ -819,23 +771,18 @@ class ParallelRunner:
                 return cached, "disk"
         return None, "miss"
 
-    def run(
-        self,
-        specs: list,
-        label: str = "sweep",
-        progress=None,
-        warnings: list[str] | None = None,
-    ) -> list:
+    def run(self, specs: list, label: str = "sweep", progress=None) -> list:
         """Resolve every spec (cache or simulation); ordered like ``specs``.
+
+        Each distinct digest executes at most once per call: the first
+        index of a missing digest runs, and later indices with the same
+        digest take its result as ``"memory"`` records with no wall time.
 
         ``progress``, when given, is called with each job's
         :class:`JobRecord` as it resolves — cache hits during the probe
-        pass, simulated jobs as each worker outcome lands — so callers can
-        stream sweep progress instead of waiting for the manifest.
-
-        ``warnings`` seeds the manifest's warning list; any warnings queued
-        by sweep construction (:func:`note_sweep_warning`) are drained into
-        it as well.
+        pass, simulated jobs and their repeats as each worker outcome
+        lands — so callers can stream sweep progress instead of waiting
+        for the manifest.
         """
         specs = list(specs)
         started = time.perf_counter()
@@ -846,6 +793,8 @@ class ParallelRunner:
         results: list[RunResult | None] = [None] * len(specs)
         records: list[JobRecord | None] = [None] * len(specs)
         pending: list[int] = []
+        # Missing digest -> the later indices waiting on its first run.
+        repeats: dict[str, list[int]] = {}
         digests = [spec.digest() for spec in specs]
 
         def resolve(
@@ -874,9 +823,13 @@ class ParallelRunner:
                 progress(record)
 
         for index, spec in enumerate(specs):
+            if digests[index] in repeats:
+                repeats[digests[index]].append(index)
+                continue
             result, source = self.lookup(spec)
             if result is None:
                 pending.append(index)
+                repeats[digests[index]] = []
             else:
                 results[index] = result
                 resolve(index, source, 0.0)
@@ -896,6 +849,9 @@ class ParallelRunner:
                     checkpoint_hits=outcome.checkpoint_hits,
                     resumed_from_events=outcome.resumed_from_events,
                 )
+                for repeat in repeats[digests[index]]:
+                    results[repeat] = outcome.result
+                    resolve(repeat, "memory", 0.0)
 
             self._execute([specs[index] for index in pending], on_outcome)
 
@@ -921,7 +877,6 @@ class ParallelRunner:
             records=records,  # type: ignore[arg-type]
             wall_clock_s=wall_clock_s,
             stats=sweep_stats.as_dict(),
-            warnings=list(warnings or []) + drain_sweep_warnings(),
         )
         return results  # type: ignore[return-value]
 

@@ -13,12 +13,12 @@ Three pieces:
 * :class:`SweepSpec` — a declarative sweep: named axes (``benchmark``,
   ``level``, ``num_requests``, ``seed``, ``cores`` and any
   ``machine.<field>`` knob of :class:`~repro.system.config.MachineConfig`)
-  combined by ``grid`` (cartesian product, via the
-  :func:`~repro.experiments.executor.sweep_specs` primitive), ``zip``
-  (element-wise) or ``random`` (seeded sampling of the grid).  Compilation
-  canonicalizes duplicate axis values, dedups design points by content
-  digest, and can add the ``unprotected`` baseline anchor each
-  configuration needs for overhead reporting.
+  combined by ``grid`` (cartesian product), ``zip`` (element-wise) or
+  ``random`` (seeded sampling of the grid), at most
+  :data:`MAX_SWEEP_POINTS` points.  Compilation builds one job per
+  described point, dedups them by content digest, and can add the
+  ``unprotected`` baseline anchor each configuration needs for overhead
+  reporting.
 
 * the **prefix-sharing scheduler** (:func:`plan_sweep` /
   :func:`run_sweep`) — the performance core.  Compiled specs are grouped
@@ -29,10 +29,10 @@ Three pieces:
   seeds the checkpoint store, wave *k+1* forks each next-longer point from
   the snapshots wave *k* left behind, so a family of request counts
   ``n_1 < n_2 < ... < n_k`` costs roughly ``n_k`` events instead of
-  ``sum(n_i)``.  A :class:`CostModel` decides per point whether forking is
-  worth the checkpoint save/restore overhead (singleton families skip the
-  store entirely), and each wave is sorted so same-workload points land
-  adjacent — trace-cache-aware batching.
+  ``sum(n_i)``.  :func:`worth_forking` decides per point whether forking
+  is worth the checkpoint save/restore overhead (singleton families skip
+  the store entirely), and each wave is sorted so same-workload points
+  land adjacent — trace-cache-aware batching.
 
 * the streaming Pareto aggregation lives in
   :mod:`repro.experiments.pareto`: :func:`run_sweep` streams every
@@ -47,8 +47,10 @@ warm-start counts without simulating anything.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,9 +66,6 @@ from repro.experiments.executor import (
     ResultCache,
     RunManifest,
     _dataclass_from_jsonable,
-    canonicalize_axis,
-    drain_sweep_warnings,
-    sweep_specs,
 )
 from repro.schemes import resolve_scheme, scheme_name_of
 from repro.system.config import MachineConfig, ProtectionLevel
@@ -84,11 +83,13 @@ MACHINE_AXIS_PREFIX = "machine."
 
 _MODES = ("grid", "zip", "random")
 
+#: Most design points one spec may describe.  Compilation builds a dict
+#: and a job per point, so a larger spec is refused before expansion.
+MAX_SWEEP_POINTS = 100_000
+
 
 def _machine_field_names() -> set[str]:
     """Every MachineConfig field addressable as a ``machine.<name>`` axis."""
-    import dataclasses
-
     return {f.name for f in dataclasses.fields(MachineConfig)}
 
 
@@ -171,8 +172,11 @@ class SweepSpec:
     """A declarative design-space sweep over simulation knobs.
 
     ``mode`` selects how axes combine: ``grid`` takes the cartesian
-    product, ``zip`` walks all axes in lockstep (length-1 axes broadcast),
-    ``random`` draws ``samples`` seeded points from the grid.  Axes may
+    product in axis order, ``zip`` walks all axes in lockstep (length-1
+    axes broadcast), ``random`` draws ``samples`` seeded points from the
+    grid.  Axis values are used as written: a repeated value is one more
+    grid point, one more lockstep row, or one more chance in a random
+    draw, and compilation then drops the digest-identical jobs.  Axes may
     address :class:`~repro.experiments.executor.JobSpec` scalars
     (``benchmark``, ``level``, ``num_requests``, ``seed``, ``cores``) or
     any :class:`~repro.system.config.MachineConfig` field via
@@ -212,6 +216,12 @@ class SweepSpec:
                 raise ConfigurationError(
                     f"zip mode needs equal-length axes (or length 1); got {sorted(lengths)}"
                 )
+        points = self._point_count()
+        if points > MAX_SWEEP_POINTS:
+            raise ConfigurationError(
+                f"sweep describes {points} design points; "
+                f"the limit is {MAX_SWEEP_POINTS}"
+            )
 
     # -- wire form -----------------------------------------------------------
 
@@ -270,135 +280,83 @@ class SweepSpec:
 
     # -- compilation ---------------------------------------------------------
 
-    def _canonical_axes(self) -> list[SweepAxis]:
-        """Axes with duplicate values removed (queuing manifest warnings)."""
-        canonical = []
-        for axis in self.axes:
-            key = scheme_name_of if axis.name == "level" else None
-            if axis.name.startswith(MACHINE_AXIS_PREFIX):
-                key = lambda v: json.dumps(v, sort_keys=True)  # noqa: E731
-            values = canonicalize_axis(axis.name, list(axis.values), key=key)
-            canonical.append(SweepAxis(axis.name, tuple(values)))
-        return canonical
+    def _point_count(self) -> int:
+        """How many design points the spec describes, before any dedup."""
+        lengths = [len(axis.values) for axis in self.axes]
+        if self.mode == "zip":
+            return max(lengths)
+        if self.mode == "random":
+            return self.samples
+        return math.prod(lengths)
 
     def _points(self) -> list[dict]:
         """Every described design point as an axis-name -> value dict."""
-        axes = self._canonical_axes()
         if self.mode == "zip":
-            length = max(len(axis.values) for axis in axes)
-            rows = []
-            for i in range(length):
-                rows.append(
-                    {
-                        axis.name: axis.values[i if len(axis.values) > 1 else 0]
-                        for axis in axes
-                    }
-                )
-            return rows
+            return [
+                {
+                    axis.name: axis.values[i if len(axis.values) > 1 else 0]
+                    for axis in self.axes
+                }
+                for i in range(self._point_count())
+            ]
         if self.mode == "random":
             rng = random.Random(self.sample_seed)
             return [
-                {axis.name: rng.choice(axis.values) for axis in axes}
+                {axis.name: rng.choice(axis.values) for axis in self.axes}
                 for _ in range(self.samples)
             ]
-        names = [axis.name for axis in axes]
+        names = [axis.name for axis in self.axes]
         return [
             dict(zip(names, combo))
-            for combo in itertools.product(*(axis.values for axis in axes))
+            for combo in itertools.product(*(axis.values for axis in self.axes))
         ]
-
-    @staticmethod
-    def _machine_for(point: dict) -> MachineConfig:
-        """Build the point's machine config from its ``machine.*`` entries."""
-        payload = {
-            name[len(MACHINE_AXIS_PREFIX) :]: value
-            for name, value in point.items()
-            if name.startswith(MACHINE_AXIS_PREFIX)
-        }
-        if not payload:
-            return MachineConfig()
-        return _dataclass_from_jsonable(MachineConfig, payload)
 
     def compile(self) -> CompiledSweep:
         """Flatten the spec to deduplicated jobs plus its audit trail.
 
-        Grid mode rides the :func:`~repro.experiments.executor.sweep_specs`
-        primitive: for each combination of the non-(benchmark, level) axes
-        the (benchmark x level) inner grid is built by that function, so
-        the two layers cannot drift apart.  Every mode dedups the final
-        job list by content digest and (optionally) appends ``unprotected``
-        baseline anchors.
+        Every mode builds one job per described point, in :meth:`_points`
+        order, then keeps the first job of each content digest: repeated
+        axis values, repeated random draws and two spellings of one scheme
+        all collapse here.  ``unprotected`` baseline anchors, when enabled,
+        come last.
         """
+        machines: dict[str, MachineConfig] = {}
+        jobs: dict[str, JobSpec] = {}  # digest -> first job with that digest
         points = self._points()
-        specs: list[JobSpec] = []
-        if self.mode == "grid":
-            benchmarks = [a for a in self._canonical_axes() if a.name == "benchmark"][0]
-            levels = [a for a in self._canonical_axes() if a.name == "level"][0]
-            outer_names = [
-                a.name
-                for a in self._canonical_axes()
-                if a.name not in ("benchmark", "level")
-            ]
-            seen_outer = set()
-            for point in points:
-                outer_key = json.dumps(
-                    {name: point[name] for name in outer_names}, sort_keys=True
-                )
-                if outer_key in seen_outer:
-                    continue
-                seen_outer.add(outer_key)
-                specs.extend(
-                    sweep_specs(
-                        list(benchmarks.values),
-                        list(levels.values),
-                        machine=self._machine_for(point),
-                        num_requests=int(point.get("num_requests", DEFAULT_REQUESTS)),
-                        seed=int(point.get("seed", DEFAULT_SEED)),
-                        cores=int(point.get("cores", 1)),
-                    )
-                )
-        else:
-            for point in points:
-                specs.append(
-                    JobSpec(
-                        benchmark=point["benchmark"],
-                        level=point["level"],
-                        machine=self._machine_for(point),
-                        num_requests=int(point.get("num_requests", DEFAULT_REQUESTS)),
-                        seed=int(point.get("seed", DEFAULT_SEED)),
-                        cores=int(point.get("cores", 1)),
-                    )
-                )
-        requested = len(specs)
-        deduped: list[JobSpec] = []
-        seen: set[str] = set()
-        for spec in specs:
-            digest = spec.digest()
-            if digest in seen:
-                continue
-            seen.add(digest)
-            deduped.append(spec)
-        duplicates = requested - len(deduped)
-        warnings = drain_sweep_warnings()
+        for point in points:
+            entries = {
+                name[len(MACHINE_AXIS_PREFIX) :]: value
+                for name, value in point.items()
+                if name.startswith(MACHINE_AXIS_PREFIX)
+            }
+            # Decoding a MachineConfig resolves its type hints on every call,
+            # and a grid repeats each machine once per point of the other
+            # axes: decode each distinct one once.
+            key = repr(entries)
+            if key not in machines:
+                machines[key] = _dataclass_from_jsonable(MachineConfig, entries)
+            spec = JobSpec(
+                benchmark=point["benchmark"],
+                level=point["level"],
+                machine=machines[key],
+                num_requests=point.get("num_requests", DEFAULT_REQUESTS),
+                seed=point.get("seed", DEFAULT_SEED),
+                cores=point.get("cores", 1),
+            )
+            jobs.setdefault(spec.digest(), spec)
+        duplicates = len(points) - len(jobs)
+        warnings: list[str] = []
         if duplicates:
             warnings.append(
                 f"compile: dropped {duplicates} digest-identical design point(s)"
             )
         baselines_added = 0
         if self.baselines:
-            for spec in list(deduped):
-                anchor = JobSpec(
-                    spec.benchmark,
-                    ProtectionLevel.UNPROTECTED,
-                    spec.machine,
-                    spec.num_requests,
-                    spec.seed,
-                    spec.cores,
-                )
+            for spec in list(jobs.values()):
+                anchor = dataclasses.replace(spec, level=ProtectionLevel.UNPROTECTED)
                 digest = anchor.digest()
-                if digest not in seen:
-                    seen.add(digest)
-                    deduped.append(anchor)
+                if digest not in jobs:
+                    jobs[digest] = anchor
                     baselines_added += 1
             if baselines_added:
                 warnings.append(
@@ -406,8 +364,8 @@ class SweepSpec:
                 )
         return CompiledSweep(
             spec=self,
-            jobs=tuple(deduped),
-            requested=requested,
+            jobs=tuple(jobs.values()),
+            requested=len(points),
             duplicates_dropped=duplicates,
             baselines_added=baselines_added,
             warnings=tuple(warnings),
@@ -419,34 +377,29 @@ class SweepSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Decides when forking from a checkpoint beats running cold.
+#: Minimum shared-prefix length (requests) that can amortize one
+#: checkpoint restore + retarget.
+MIN_SHARED_REQUESTS = 100
+#: Minimum fraction of the point's own length the shared prefix must
+#: cover for the fork to matter.
+MIN_SHARED_FRACTION = 0.10
+
+
+def worth_forking(shared: int, total: int) -> bool:
+    """True when forking a ``total``-request point at ``shared`` requests pays.
 
     The decision is made at plan time from request counts alone (requests
     are the spec-level proxy for kernel events, which scale linearly with
     them).  Forking pays a fixed restore-and-retarget toll plus a snapshot
-    save in the seeding run, so tiny shared prefixes are not worth it: a
-    point warm-starts only when the shared prefix clears both an absolute
-    floor and a fraction of its own length.  Seeding runs save at
-    :data:`~repro.experiments.executor.SAVE_MILESTONES`.
+    save in the seeding run, so a point warm-starts only when the shared
+    prefix clears both :data:`MIN_SHARED_REQUESTS` and
+    :data:`MIN_SHARED_FRACTION` of its own length.
     """
-
-    #: Minimum shared-prefix length (requests) that can amortize one
-    #: checkpoint restore + retarget.
-    min_shared_requests: int = 100
-    #: Minimum fraction of the point's own length the shared prefix must
-    #: cover for the fork to matter.
-    min_shared_fraction: float = 0.10
-
-    def worth_forking(self, shared_requests: int, total_requests: int) -> bool:
-        """True when forking from a ``shared_requests``-deep snapshot pays."""
-        if shared_requests <= 0 or total_requests <= 0:
-            return False
-        return (
-            shared_requests >= self.min_shared_requests
-            and shared_requests / total_requests >= self.min_shared_fraction
-        )
+    return (
+        shared >= MIN_SHARED_REQUESTS
+        and total > 0
+        and shared / total >= MIN_SHARED_FRACTION
+    )
 
 
 @dataclass(frozen=True)
@@ -542,20 +495,16 @@ def _wave_sort_key(job: PlannedJob) -> tuple:
     )
 
 
-def plan_sweep(
-    jobs: list[JobSpec] | tuple[JobSpec, ...],
-    cost_model: CostModel | None = None,
-) -> SweepPlan:
+def plan_sweep(jobs: list[JobSpec] | tuple[JobSpec, ...]) -> SweepPlan:
     """Group jobs into prefix families and order them into warm-start waves.
 
     Families (same :meth:`~repro.experiments.executor.JobSpec.prefix_digest`)
-    are sorted shortest-first; member *k* is planned for wave *k* when the
-    cost model judges its fork worthwhile, so every point's seed snapshot
-    exists before the point runs.  Points whose fork is not worth the toll
-    stay in the earliest wave consistent with their family's snapshot
-    needs; singleton families bypass the checkpoint store entirely.
+    are sorted shortest-first; member *k* is planned for wave *k* when
+    :func:`worth_forking` judges its fork worthwhile, so every point's seed
+    snapshot exists before the point runs.  Points whose fork is not worth
+    the toll stay in the earliest wave consistent with their family's
+    snapshot needs; singleton families bypass the checkpoint store entirely.
     """
-    model = cost_model or CostModel()
     families: dict[str, list[JobSpec]] = {}
     for spec in jobs:
         families.setdefault(spec.prefix_digest(), []).append(spec)
@@ -571,9 +520,7 @@ def plan_sweep(
             continue
         warm_flags = [
             rank > 0
-            and model.worth_forking(
-                members[rank - 1].num_requests, spec.num_requests
-            )
+            and worth_forking(members[rank - 1].num_requests, spec.num_requests)
             for rank, spec in enumerate(members)
         ]
         depth = 0
@@ -623,7 +570,6 @@ def run_sweep(
     workers: int = 1,
     cache: ResultCache | None = None,
     checkpoints=None,
-    cost_model: CostModel | None = None,
     label: str = "sweep",
     progress=None,
     aggregator=None,
@@ -652,7 +598,7 @@ def run_sweep(
     else:
         jobs = list(compiled)
         warnings = []
-    plan = plan_sweep(jobs, cost_model=cost_model)
+    plan = plan_sweep(jobs)
     started = _time.perf_counter()
     memory: dict[str, RunResult] = {}
     records = []

@@ -8,9 +8,8 @@ sustains, not what an open-loop generator wishes it would):
   ``requests_per_thread`` submit-and-wait round trips of one spec —
   the cache/coalescing stress shape;
 * **sweep mode** (``specs=``): the threads drain a shared work list of
-  distinct specs, each submitted exactly once — the shape that exercises
-  the worker pool's sharded scheduling, since distinct digests spread
-  across the persistent workers.
+  distinct specs, each submitted exactly once — the shape that keeps
+  every persistent worker of the pool busy, since no two specs coalesce.
 
 This is the measurement half of ``benchmarks/test_serve_throughput.py``
 and ``benchmarks/test_serve_pool_scaling.py``; it is also handy

@@ -22,13 +22,13 @@ The moving parts:
   the job requeues and its next slice resumes from the snapshot.
 * :class:`WorkerHandle` — the supervisor's view of one worker slot:
   process, pipe, current job, deadline, restart/completion counters.
-* :class:`WorkerPool` — the supervisor: shards queued jobs by spec digest,
-  assigns them to idle workers (with work stealing so one hot shard cannot
-  idle the fleet), enforces per-job deadlines and cancellation by killing
-  the worker process, requeues jobs whose worker crashed mid-run, and
-  respawns dead workers.  It reports everything that happens through three
-  callbacks (``on_running``, ``on_outcome``, ``on_requeue``) so the
-  service can keep its :class:`~repro.serve.jobs.JobBoard` authoritative.
+* :class:`WorkerPool` — the supervisor: queues jobs in one FIFO, hands
+  the oldest to the next idle worker, enforces per-job deadlines and
+  cancellation by killing the worker process, requeues jobs whose worker
+  crashed mid-run, and respawns dead workers.  It reports everything that
+  happens through callbacks (``on_running``, ``on_outcome``,
+  ``on_requeue``, ``on_preempted``) so the service can keep its
+  :class:`~repro.serve.jobs.JobBoard` authoritative.
 * :class:`PoolOutcome` — one job's final verdict as the pool saw it.
 
 Concurrency model: all pool state is guarded by one lock; a single
@@ -226,15 +226,17 @@ class WorkerHandle:
 
 
 class WorkerPool:
-    """Supervise N persistent worker processes executing sharded jobs.
+    """Supervise N persistent worker processes executing queued jobs.
 
-    Jobs enter through :meth:`dispatch` into per-shard deques (shard =
-    spec digest mod ``workers``), giving duplicate digests a deterministic
-    home; an idle worker drains its own shard first and steals from the
-    deepest backlog otherwise.  One supervisor thread multiplexes every
-    worker pipe, enforces deadlines and cancellation (by killing the
-    worker process), requeues jobs whose worker died mid-run (up to
-    ``max_requeues`` times, then FAILs them) and respawns dead workers.
+    Jobs enter through :meth:`dispatch` into one FIFO queue, and an idle
+    worker takes the oldest.  The queue needs no per-digest routing: the
+    service coalesces a digest onto its in-flight leader, so a digest is
+    never queued twice at once, and a preempted job resumes from the
+    shared checkpoint store, not from worker memory.  One supervisor
+    thread multiplexes every worker pipe, enforces deadlines and
+    cancellation (by killing the worker process), requeues jobs whose
+    worker died mid-run (up to ``max_requeues`` times, then FAILs them)
+    and respawns dead workers.
 
     Everything the pool decides is reported through callbacks, all fired
     on the supervisor thread:
@@ -243,10 +245,10 @@ class WorkerPool:
     * ``on_outcome(job, PoolOutcome)`` — the job finished, one way or
       another (including "cancelled while queued");
     * ``on_requeue(job)`` — the job's worker died and the job went back
-      to the front of its shard (``job.attempts`` was incremented);
+      to the front of the queue (``job.attempts`` was incremented);
     * ``on_preempted(job, events, wall_ms, ckpt_hits, ckpt_misses)`` — the
       job's wall budget expired, the worker checkpointed it, and it went
-      back to the front of its shard (``job.preemptions`` incremented).
+      back to the front of the queue (``job.preemptions`` incremented).
 
     Preemption is active only when the pool has a ``cache_dir`` to hold
     checkpoints; without one, a job past its deadline is killed exactly as
@@ -286,7 +288,7 @@ class WorkerPool:
         )
         self._context = _fork_context() or multiprocessing.get_context()
         self._lock = threading.Lock()
-        self._shards: list[deque[Job]] = [deque() for _ in range(self.workers)]
+        self._queue: deque[Job] = deque()
         self._handles: list[WorkerHandle] = []
         self._started = False
         self._stopping = False
@@ -329,12 +331,13 @@ class WorkerPool:
         if not stopping_already and self._started:
             self._thread.join(timeout=30.0)
         with self._lock:
-            leftovers = [job for shard in self._shards for job in shard]
-            for shard in self._shards:
-                shard.clear()
+            leftovers = list(self._queue)
+            self._queue.clear()
             handles = list(self._handles)
         for job in leftovers:
-            self._emit(job, PoolOutcome(status="cancelled", error="worker pool stopped"))
+            self._emit(
+                job, PoolOutcome(status="cancelled", error="worker pool stopped")
+            )
         for handle in handles:
             try:
                 handle.conn.send(("stop",))
@@ -371,27 +374,26 @@ class WorkerPool:
     # -- submission-side API (any thread) ------------------------------------
 
     def dispatch(self, job: Job) -> None:
-        """Queue one job on its digest's home shard and wake the supervisor."""
+        """Queue one job at the back and wake the supervisor."""
         with self._lock:
             if self._stopping:
                 raise RuntimeError("worker pool is stopping")
-            self._shards[self._shard_of(job.digest)].append(job)
+            self._queue.append(job)
         self._poke()
 
     def cancel(self, job: Job) -> str:
         """Take the job out of the pool; returns where it was found.
 
-        ``"queued"``: removed from its shard before any worker saw it —
+        ``"queued"``: removed from the queue before any worker saw it —
         the caller records the cancellation (no outcome will fire).
         ``"running"``: its worker process is being killed; the cancelled
         outcome follows through ``on_outcome``.  ``"missing"``: the pool
         no longer holds it (its outcome is already reported or in flight).
         """
         with self._lock:
-            for shard in self._shards:
-                if job in shard:
-                    shard.remove(job)
-                    return "queued"
+            if job in self._queue:
+                self._queue.remove(job)
+                return "queued"
             for handle in self._handles:
                 if handle.job is job:
                     if handle.kill_reason is None:
@@ -403,7 +405,7 @@ class WorkerPool:
         """Live fleet gauges for ``/metrics`` (thread-safe, JSON-ready)."""
         with self._lock:
             return {
-                "queued": sum(len(shard) for shard in self._shards),
+                "queued": len(self._queue),
                 "running": sum(1 for h in self._handles if h.job is not None),
                 "workers_online": sum(
                     1 for h in self._handles if h.process.is_alive()
@@ -416,10 +418,6 @@ class WorkerPool:
             }
 
     # -- supervisor internals (hold self._lock) ------------------------------
-
-    def _shard_of(self, digest: str) -> int:
-        """A digest's home shard: stable, uniform over the worker count."""
-        return int(digest[:8], 16) % self.workers
 
     def _spawn(self, index: int):
         """Fork one worker process; returns ``(process, parent_conn)``."""
@@ -551,7 +549,7 @@ class WorkerPool:
     def _preempt(self, handle: WorkerHandle, payload: tuple) -> None:
         """A worker checkpointed its job at the budget: requeue, not kill.
 
-        The job goes back to the *front* of its home shard so it resumes
+        The job goes back to the *front* of the queue so it resumes
         promptly; past ``max_preemptions`` slices it resolves to a timeout
         outcome (the worker stays alive either way).  A cancellation that
         raced the preemption resolves to cancelled here.
@@ -589,14 +587,14 @@ class WorkerPool:
                 ),
             )
         else:
-            self._shards[self._shard_of(job.digest)].appendleft(job)
+            self._queue.appendleft(job)
 
     def _reap(self, handle: WorkerHandle) -> None:
         """A busy worker died: resolve its job, then replace the process.
 
         A deliberate kill resolves to the timeout/cancelled outcome it was
         issued for.  An unexpected death requeues the job at the front of
-        its home shard — bounded by ``max_requeues``, past which the job
+        the queue — bounded by ``max_requeues``, past which the job
         fails with the worker's exit code in the error.
         """
         job, handle.job = handle.job, None
@@ -623,7 +621,7 @@ class WorkerPool:
         elif job.attempts < self.max_requeues:
             job.attempts += 1
             self._requeues += 1
-            self._shards[self._shard_of(job.digest)].appendleft(job)
+            self._queue.appendleft(job)
             try:
                 self._on_requeue(job)
             except Exception:  # pragma: no cover - defensive
@@ -661,13 +659,11 @@ class WorkerPool:
 
     def _sweep_cancelled(self) -> None:
         """Resolve cancelled queued jobs; kill workers on cancelled jobs."""
-        for shard in self._shards:
-            for job in [item for item in shard if item.cancel.is_set()]:
-                shard.remove(job)
-                self._emit(
-                    job,
-                    PoolOutcome(status="cancelled", error="cancelled while queued"),
-                )
+        for job in [item for item in self._queue if item.cancel.is_set()]:
+            self._queue.remove(job)
+            self._emit(
+                job, PoolOutcome(status="cancelled", error="cancelled while queued")
+            )
         for handle in self._handles:
             if (
                 handle.job is not None
@@ -688,16 +684,6 @@ class WorkerPool:
             ):
                 self._kill(handle, "timeout")
 
-    def _next_job(self, index: int) -> Job | None:
-        """The next job for worker ``index``: own shard first, then steal."""
-        shard = self._shards[index]
-        if shard:
-            return shard.popleft()
-        richest = max(self._shards, key=len)
-        if richest:
-            return richest.popleft()
-        return None
-
     def _assign(self) -> None:
         """Hand queued jobs to idle, healthy workers."""
         for handle in self._handles:
@@ -707,10 +693,8 @@ class WorkerPool:
                 or not handle.process.is_alive()
             ):
                 continue
-            while True:
-                job = self._next_job(handle.index)
-                if job is None:
-                    break
+            while self._queue:
+                job = self._queue.popleft()
                 if job.cancel.is_set():
                     self._emit(
                         job,
@@ -732,7 +716,7 @@ class WorkerPool:
                 except (OSError, ValueError):
                     # The worker became unusable under us: put the job back
                     # (not the job's fault — no attempts charge) and respawn.
-                    self._shards[self._shard_of(job.digest)].appendleft(job)
+                    self._queue.appendleft(job)
                     self._respawn(handle, crashed=True)
                     break
                 handle.job = job

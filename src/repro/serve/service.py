@@ -1,4 +1,4 @@
-"""The simulation service: pooled workers, sharded admission, metrics, drain.
+"""The simulation service: pooled workers, coalesced admission, metrics, drain.
 
 :class:`SimulationService` is the serving core the HTTP layer fronts.  It
 owns a :class:`~repro.serve.pool.WorkerPool` of *persistent* simulation
@@ -19,7 +19,7 @@ past that does it raise :class:`ServiceSaturated` (translated to HTTP 429
 + ``Retry-After``).  During shutdown it raises :class:`ServiceDraining`
 (503).  A refused submission has no side effects.
 
-Jobs are sharded across the pool by spec digest, and duplicate in-flight
+Jobs queue for the pool in arrival order, and duplicate in-flight
 submissions never reach a second worker: followers coalesce onto the
 leader at admission and are completed with the leader's result
 (``source == "coalesced"``), so a thundering herd of identical specs

@@ -25,7 +25,6 @@ from repro.experiments.executor import (
     ParallelRunner,
     ResultCache,
     RunManifest,
-    drain_sweep_warnings,
     result_from_jsonable,
     result_to_jsonable,
     sweep_specs,
@@ -79,6 +78,12 @@ class TestJobSpec:
             ("mcf", ProtectionLevel.UNPROTECTED),
             ("mcf", ProtectionLevel.ORAM),
         ]
+
+    def test_sweep_specs_leaves_no_note_for_a_later_run(self):
+        sweep_specs(["astar", "astar"], ["unprotected"], num_requests=100)
+        executor = ParallelRunner(workers=1)
+        executor.run([_spec()], label="unrelated")
+        assert executor.manifest.warnings == []
 
 
 class TestResultCache:
@@ -172,6 +177,27 @@ class TestParallelRunner:
             (s.benchmark, s.level) for s in self.SPECS
         ]
 
+    def test_a_repeated_spec_is_simulated_once(self):
+        spec = self.SPECS[0]
+        executor = ParallelRunner(workers=1)
+        first, second = executor.run([spec, spec])
+        assert first is second
+        records = executor.manifest.records
+        assert [r.source for r in records] == ["simulated", "memory"]
+        assert executor.manifest.cache_misses == 1
+        assert records[1].wall_ms == 0.0
+
+    def test_repeats_stream_as_soon_as_their_first_run_lands(self):
+        astar, sjeng = self.SPECS[:2]
+        by_name = _spec("astar", "unprotected")  # the other spelling, one digest
+        streamed = []
+        executor = ParallelRunner(workers=2)
+        results = executor.run([astar, sjeng, by_name], progress=streamed.append)
+        assert results[0] is results[2]
+        records = executor.manifest.records
+        assert [r.source for r in records] == ["simulated", "simulated", "memory"]
+        assert streamed == [records[0], records[2], records[1]]
+
     def test_manifest_records_provenance(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = ParallelRunner(workers=2, cache=cache)
@@ -244,7 +270,7 @@ class TestWarmStartProvenance:
             workers=2,
             records=[self._record("a", hits=1, resumed=1234)],
             wall_clock_s=0.2,
-            warnings=["axis 'levels': dropped 1 duplicate value(s)"],
+            warnings=["compile: dropped 1 digest-identical design point(s)"],
         )
         path = manifest.write(tmp_path / "warm.json")
         loaded = RunManifest.load(path)
@@ -284,32 +310,6 @@ class TestWarmStartProvenance:
         assert record.resumed_from_events > 0
         assert forker.manifest.checkpoint_hits == 1
         assert forker.manifest.events_resumed == record.resumed_from_events
-
-
-class TestSweepSpecsCanonicalization:
-    """Duplicate axis values compile away, loudly."""
-
-    def test_duplicate_benchmarks_and_level_spellings_collapse(self):
-        drain_sweep_warnings()  # isolate from earlier queued notes
-        specs = sweep_specs(
-            ["astar", "astar"],
-            [ProtectionLevel.ENCRYPTION_ONLY, "encryption_only"],
-            num_requests=100,
-        )
-        assert len(specs) == 1
-        warnings = drain_sweep_warnings()
-        assert any("'benchmarks'" in w for w in warnings)
-        assert any("'levels'" in w for w in warnings)
-
-    def test_warnings_drain_into_the_next_manifest(self):
-        drain_sweep_warnings()
-        specs = sweep_specs(["astar"], ["unprotected", "unprotected"], num_requests=100)
-        executor = ParallelRunner(workers=1)
-        executor.run(specs, label="canon")
-        assert any("duplicate value" in w for w in executor.manifest.warnings)
-        # Drained: the next run's manifest starts clean.
-        executor.run(specs, label="clean")
-        assert executor.manifest.warnings == []
 
 
 class TestCachedRunKeying:

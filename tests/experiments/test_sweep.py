@@ -1,9 +1,9 @@
 """Declarative sweep specs and the prefix-sharing scheduler.
 
 Covers the three layers of :mod:`repro.experiments.sweep`: spec
-validation and the three combination modes, compilation (canonicalized
-axes, digest dedup, baseline anchors, manifest warnings), wave planning
-under the cost model, and an end-to-end scheduled execution that must be
+validation and the three combination modes, compilation (one job per
+point, digest dedup, baseline anchors, manifest warnings), wave planning
+under the fork floors, and an end-to-end scheduled execution that must be
 bit-identical to cold execution while actually warm-starting.
 """
 
@@ -18,12 +18,13 @@ from repro.experiments.checkpoints import CheckpointStore
 from repro.experiments.executor import JobSpec, ParallelRunner
 from repro.experiments.pareto import ParetoAggregator
 from repro.experiments.sweep import (
+    MAX_SWEEP_POINTS,
     SCALAR_AXES,
-    CostModel,
     SweepAxis,
     SweepSpec,
     plan_sweep,
     run_sweep,
+    worth_forking,
 )
 from repro.schemes import scheme_names
 from repro.system.config import ProtectionLevel
@@ -31,6 +32,17 @@ from repro.system.config import ProtectionLevel
 from tests.strategies import JSON_VALUES
 
 SEED = 31
+
+#: A zip spec whose benchmark axis repeats a value.
+REPEATED_ZIP = {
+    "mode": "zip",
+    "axes": {
+        "benchmark": ["astar", "mcf", "astar"],
+        "level": ["unprotected"],
+        "num_requests": [100, 200, 300],
+    },
+    "baselines": False,
+}
 
 #: Axis values: arbitrary JSON plus valid names, so some specs decode.
 AXIS_VALUES = JSON_VALUES | st.sampled_from(
@@ -141,6 +153,24 @@ class TestSweepSpecValidation:
         with pytest.raises(ConfigurationError, match="samples"):
             small_spec(mode="random")
 
+    def test_random_samples_past_the_ceiling_rejected(self):
+        message = f"1000000000 design points; the limit is {MAX_SWEEP_POINTS}"
+        with pytest.raises(ConfigurationError, match=message):
+            small_spec(mode="random", samples=10**9)
+
+    def test_grid_past_the_ceiling_rejected(self):
+        lengths = tuple(range(1, 1001))
+        message = f"1000000 design points; the limit is {MAX_SWEEP_POINTS}"
+        with pytest.raises(ConfigurationError, match=message):
+            small_spec(
+                axes=axes(
+                    benchmark=("astar",),
+                    level=("unprotected",),
+                    num_requests=lengths,
+                    seed=lengths,
+                )
+            )
+
 
 class TestWireForm:
     def test_round_trip(self):
@@ -231,7 +261,39 @@ class TestCompile:
             )
         ).compile()
         assert len(compiled.jobs) == 2
-        assert any("duplicate value" in w for w in compiled.warnings)
+        assert any("digest-identical" in w for w in compiled.warnings)
+
+    def test_grid_duplicates_are_noted_once(self):
+        compiled = small_spec(
+            axes=axes(
+                benchmark=("astar", "astar"),
+                level=("unprotected", "encryption_only"),
+                num_requests=(150, 300),
+            )
+        ).compile()
+        assert len(compiled.jobs) == 4
+        assert compiled.requested == 8 and compiled.duplicates_dropped == 4
+        assert compiled.warnings == (
+            "compile: dropped 4 digest-identical design point(s)",
+        )
+
+    @pytest.mark.parametrize(
+        "benchmarks, lengths",
+        [
+            (("astar", "mcf", "astar"), (100, 200, 300)),
+            (("astar", "mcf", "astar", "mcf"), (100, 100, 300, 300)),
+        ],
+    )
+    def test_zip_mode_keeps_every_row_when_values_repeat(self, benchmarks, lengths):
+        compiled = small_spec(
+            mode="zip",
+            axes=axes(
+                benchmark=benchmarks, level=("unprotected",), num_requests=lengths
+            ),
+        ).compile()
+        assert [(j.benchmark, j.num_requests) for j in compiled.jobs] == list(
+            zip(benchmarks, lengths)
+        )
 
     def test_zip_mode_walks_axes_in_lockstep_and_broadcasts(self):
         compiled = small_spec(
@@ -316,11 +378,10 @@ class TestCompile:
 
 class TestCostModel:
     def test_worth_forking_needs_absolute_and_relative_depth(self):
-        model = CostModel(min_shared_requests=100, min_shared_fraction=0.10)
-        assert model.worth_forking(100, 1000)
-        assert not model.worth_forking(99, 500)  # below the absolute floor
-        assert not model.worth_forking(100, 1001)  # below the fraction
-        assert not model.worth_forking(0, 100)
+        assert worth_forking(100, 1000)
+        assert not worth_forking(99, 500)  # below the absolute floor
+        assert not worth_forking(100, 1001)  # below the fraction
+        assert not worth_forking(0, 100)
 
 
 class TestPlanSweep:
@@ -428,6 +489,29 @@ class TestCli:
         assert "warm starts planned: 2" in out
         assert "executed" not in out  # nothing ran
 
+    def test_dry_run_compiles_a_zip_spec_with_a_repeated_value(
+        self, tmp_path, capsys
+    ):
+        from repro.__main__ import main
+
+        path = self._spec_file(tmp_path, REPEATED_ZIP)
+        main(["sweep", "--spec", str(path), "--dry-run"])
+        assert "compiled 3 job(s)" in capsys.readouterr().out
+
+    def test_oversized_spec_exits_with_one_line(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        payload = dict(small_spec().to_jsonable(), mode="random", samples=10**9)
+        path = self._spec_file(tmp_path, payload)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--spec", str(path), "--dry-run"])
+        # A string exit code is printed to stderr as one line, status 1.
+        assert exit_info.value.code == (
+            f"sweep describes 1000000000 design points; "
+            f"the limit is {MAX_SWEEP_POINTS}"
+        )
+        assert capsys.readouterr().out == ""
+
     def test_bad_spec_exits_with_a_message(self, tmp_path):
         from repro.__main__ import main
 
@@ -503,4 +587,4 @@ class TestManifestWarnings:
             )
         ).compile()
         run = run_sweep(compiled)
-        assert any("duplicate value" in w for w in run.manifest.warnings)
+        assert any("digest-identical" in w for w in run.manifest.warnings)

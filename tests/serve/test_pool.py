@@ -142,17 +142,6 @@ class TestExecution:
         assert outcome.source == "simulated"
         assert outcome.sim_events == world.events_executed > 0
 
-    def test_shard_routing_is_deterministic(self):
-        probe = PoolProbe()
-        pool = make_pool(probe, workers=4)
-        try:
-            digest = fast_jobspec().digest()
-            shards = {pool._shard_of(digest) for _ in range(8)}
-            assert len(shards) == 1
-            assert 0 <= shards.pop() < 4
-        finally:
-            pool.stop()
-
     def test_persistent_workers_survive_across_jobs(self):
         board = JobBoard()
         probe = PoolProbe()
