@@ -16,7 +16,7 @@ The execution surface is configured once per process::
 
     runner.configure(workers=4, cache_dir="/tmp/obfus-cache")
     rows = table1.run()          # cold jobs run on 4 workers, warm ones hit
-    print(runner.runtime_stats())  # {'runner.memory_hits': ..., ...}
+    print(runner.runtime_stats())  # {'executor.memory_hits': ..., ...}
 
 or from any experiment CLI / ``python -m repro experiments`` via
 ``--workers N``, ``--no-cache``, ``--cache-dir PATH`` and
@@ -213,18 +213,7 @@ def run_spec(spec):
     ``spec`` is a :class:`JobSpec` or any spec following the job protocol
     documented on :class:`~repro.experiments.executor.ResultCache`.
     """
-    group = _stats.group("runner")
-    parallel = _parallel(workers=1)
-    result, source = parallel.lookup(spec)
-    if result is not None:
-        group.add(f"{source}_hits")
-        return result
-    group.add("simulations")
-    result = spec.execute()
-    _cache[spec.digest()] = result
-    if parallel.cache is not None:
-        parallel.cache.put(spec, result)
-    return result
+    return _parallel(workers=1).run([spec])[0]
 
 
 def prefetch(specs: list, label: str = "sweep", progress=None) -> RunManifest:

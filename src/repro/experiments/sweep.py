@@ -393,11 +393,12 @@ def worth_forking(shared: int, total: int) -> bool:
     them).  Forking pays a fixed restore-and-retarget toll plus a snapshot
     save in the seeding run, so a point warm-starts only when the shared
     prefix clears both :data:`MIN_SHARED_REQUESTS` and
-    :data:`MIN_SHARED_FRACTION` of its own length.
+    :data:`MIN_SHARED_FRACTION` of its own length, and only from a
+    strictly shorter run: a family member of the same length is the same
+    spec, which resolves from the result cache rather than a snapshot.
     """
     return (
-        shared >= MIN_SHARED_REQUESTS
-        and total > 0
+        MIN_SHARED_REQUESTS <= shared < total
         and shared / total >= MIN_SHARED_FRACTION
     )
 

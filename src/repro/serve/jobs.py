@@ -182,8 +182,6 @@ class JobBoard:
         source: str | None = None,
         result: RunResult | None = None,
         error: str | None = None,
-        wall_ms: float | None = None,
-        sim_events: int | None = None,
     ) -> None:
         """Move a job forward and wake every waiter.
 
@@ -204,10 +202,6 @@ class JobBoard:
             job.result = result
         if error is not None:
             job.error = error
-        if wall_ms is not None:
-            job.wall_ms = wall_ms
-        if sim_events is not None:
-            job.sim_events = sim_events
         if state.terminal:
             job.finished_at = now
             self._active -= 1

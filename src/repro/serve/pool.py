@@ -12,9 +12,10 @@ The moving parts:
 * :func:`_pool_worker_main` — the worker-process loop: receive a spec and
   a wall-clock budget, probe the shared on-disk
   :class:`~repro.experiments.executor.ResultCache`, simulate on a miss
-  (counting kernel events), persist, reply.  With a cache directory the
-  worker also holds a :class:`~repro.experiments.checkpoints.
-  CheckpointStore` and runs a budgeted job through
+  (counting kernel events), persist, and reply with one
+  :class:`PoolOutcome`.  With a cache directory the worker also holds a
+  :class:`~repro.experiments.checkpoints.CheckpointStore` and runs a
+  budgeted job through
   :func:`~repro.experiments.checkpoints.execute_with_checkpoints` with a
   deadline: a job that cannot finish in time is *checkpointed and
   preempted* — the live :class:`~repro.system.world.SimWorld` is
@@ -29,7 +30,9 @@ The moving parts:
   happens through callbacks (``on_running``, ``on_outcome``,
   ``on_requeue``, ``on_preempted``) so the service can keep its
   :class:`~repro.serve.jobs.JobBoard` authoritative.
-* :class:`PoolOutcome` — one job's final verdict as the pool saw it.
+* :class:`PoolOutcome` — one slice's verdict: the only record a worker
+  sends, and what the pool reports through ``on_outcome`` and
+  ``on_preempted``.
 
 Concurrency model: all pool state is guarded by one lock; a single
 supervisor thread multiplexes every worker pipe (plus the process
@@ -56,12 +59,15 @@ import multiprocessing.connection
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.experiments import runner, trace_cache
 from repro.experiments.checkpoints import CheckpointStore, execute_with_checkpoints
 from repro.experiments.executor import _fork_context, result_to_jsonable
 from repro.serve.jobs import Job
+
+#: Longest the supervisor sleeps between sweeps of deadlines and cancels.
+POLL_S = 0.02
 
 
 def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
@@ -71,21 +77,11 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
     ``cache_dir`` (disabled when None), so results and the traces
     :func:`~repro.experiments.trace_cache.cached_trace` builds share one
     store.  Then loops forever: receive ``("run", job_id, spec,
-    budget_s)``, resolve it through the shared on-disk cache or a fresh
-    simulation (counting kernel events and trace-cache hits), persist a
-    fresh result, and reply with one of::
-
-        ("ok", job_id, source, result_json, wall_ms,
-         events, trace_hits, trace_misses, ckpt_hits, ckpt_misses)
-        ("preempted", job_id, events, wall_ms, ckpt_hits, ckpt_misses)
-        ("error", job_id, message, wall_ms)
-
-    ``preempted`` means the wall budget expired first: the worker
-    checkpointed the live world to the shared store and stayed healthy —
-    the supervisor requeues the job and a later slice resumes it.  A
+    budget_s)``, run one slice of the job (:func:`_run_slice`) and reply
+    ``(job_id, PoolOutcome)`` with the slice's wall time.  A
     ``("stop",)`` message — or the pipe closing — ends the loop.  The
     worker never exits on a job failure: exceptions travel back as
-    ``error`` replies.
+    ``failed`` outcomes.
     """
     runner.configure(
         cache_enabled=cache_dir is not None,
@@ -105,57 +101,19 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
             break
         _kind, job_id, spec, budget_s = message
         started = time.perf_counter()
+        deadline = None if budget_s is None else started + float(budget_s)
         try:
-            cached = None if cache is None else cache.get(spec)
-            if cached is not None:
-                wall_ms = (time.perf_counter() - started) * 1000.0
-                payload = result_to_jsonable(cached)
-                reply = ("ok", job_id, "disk", payload, wall_ms, 0, 0, 0, 0, 0)
-            else:
-                hits_before, misses_before = trace_cache.counters()
-                run = execute_with_checkpoints(
-                    spec,
-                    store,
-                    save_milestones=(),
-                    deadline=None if budget_s is None else started + float(budget_s),
-                )
-                hits_after, misses_after = trace_cache.counters()
-                events, result = run.events_executed, run.result
-                ckpt_hits = ckpt_misses = 0
-                if store is not None:
-                    forked = run.forked_from_events > 0
-                    ckpt_hits, ckpt_misses = int(forked), int(not forked)
-                if result is None:
-                    wall_ms = (time.perf_counter() - started) * 1000.0
-                    reply = (
-                        "preempted",
-                        job_id,
-                        events,
-                        wall_ms,
-                        ckpt_hits,
-                        ckpt_misses,
-                    )
-                else:
-                    if cache is not None:
-                        cache.put(spec, result)
-                    wall_ms = (time.perf_counter() - started) * 1000.0
-                    reply = (
-                        "ok",
-                        job_id,
-                        "simulated",
-                        result_to_jsonable(result),
-                        wall_ms,
-                        events,
-                        hits_after - hits_before,
-                        misses_after - misses_before,
-                        ckpt_hits,
-                        ckpt_misses,
-                    )
+            outcome = _run_slice(spec, deadline, cache, store)
         except Exception as exc:
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            reply = ("error", job_id, f"{type(exc).__name__}: {exc}", wall_ms)
+            error = f"{type(exc).__name__}: {exc}"
+            outcome = PoolOutcome(status="failed", error=error)
+        outcome = replace(
+            outcome,
+            wall_ms=(time.perf_counter() - started) * 1000.0,
+            worker=worker_index,
+        )
         try:
-            connection.send(reply)
+            connection.send((job_id, outcome))
         except (OSError, ValueError):
             break
     try:
@@ -164,16 +122,58 @@ def _pool_worker_main(connection, worker_index, cache_dir, cache_bytes) -> None:
         pass
 
 
+def _run_slice(spec, deadline, cache, store) -> PoolOutcome:
+    """Resolve one slice of ``spec`` in a worker.
+
+    A result on disk is an ``ok`` outcome from ``disk``.  Otherwise the
+    worker simulates (counting kernel events and trace-cache lookups),
+    resuming from the deepest stored checkpoint when ``store`` is set.
+    A finished run is persisted and is an ``ok`` outcome from
+    ``simulated``; a run that reached ``deadline`` first was
+    checkpointed to the shared store and is ``preempted`` — the
+    supervisor requeues the job and a later slice resumes it.
+    """
+    cached = None if cache is None else cache.get(spec)
+    if cached is not None:
+        return PoolOutcome(
+            status="ok", source="disk", result_payload=result_to_jsonable(cached)
+        )
+    hits, misses = trace_cache.counters()
+    run = execute_with_checkpoints(spec, store, save_milestones=(), deadline=deadline)
+    hits_after, misses_after = trace_cache.counters()
+    status, source, payload = "preempted", None, None
+    if run.result is not None:
+        if cache is not None:
+            cache.put(spec, run.result)
+        status, source, payload = "ok", "simulated", result_to_jsonable(run.result)
+    forked = run.forked_from_events > 0
+    return PoolOutcome(
+        status=status,
+        source=source,
+        result_payload=payload,
+        sim_events=run.events_executed,
+        trace_cache_hits=hits_after - hits,
+        trace_cache_misses=misses_after - misses,
+        checkpoint_hits=int(store is not None and forked),
+        checkpoint_misses=int(store is not None and not forked),
+    )
+
+
 @dataclass(frozen=True)
 class PoolOutcome:
-    """One job's final verdict as reported by the pool.
+    """One slice's verdict: what a worker sends and the pool reports.
 
     ``status`` is ``"ok"`` (``result_payload`` holds the result in its
     cache-JSON form and ``source`` says whether the worker simulated it or
-    found it on disk), ``"timeout"``, ``"cancelled"`` or ``"failed"``
-    (``error`` holds the reason).  Results travel as JSON payloads — the
-    same round trip the cache performs — so a pooled result is
-    bit-identical to a cached one.
+    found it on disk), ``"preempted"`` (the slice budget expired and the
+    worker checkpointed the job; this status reaches only
+    ``on_preempted``), ``"timeout"``, ``"cancelled"`` or ``"failed"``
+    (``error`` holds the reason).  A worker's reply carries the slice's
+    ``wall_ms`` and, for a simulated or preempted slice, its kernel
+    events, trace-cache lookups and checkpoint probe; the verdicts the
+    supervisor builds itself leave them at zero.  Results travel as JSON
+    payloads — the same round trip the cache performs — so a pooled
+    result is bit-identical to a cached one.
     """
 
     status: str
@@ -184,8 +184,9 @@ class PoolOutcome:
     sim_events: int = 0
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
-    #: Checkpoint-store probes by the finishing slice: 1/0 when the worker
-    #: resumed from a stored snapshot, 0/1 when it had to start cold.
+    #: Checkpoint-store probes by the slice: 1/0 when the worker resumed
+    #: from a stored snapshot, 0/1 when it had to start cold (0/0 without
+    #: a store).
     checkpoint_hits: int = 0
     checkpoint_misses: int = 0
     worker: int | None = None
@@ -246,9 +247,10 @@ class WorkerPool:
       another (including "cancelled while queued");
     * ``on_requeue(job)`` — the job's worker died and the job went back
       to the front of the queue (``job.attempts`` was incremented);
-    * ``on_preempted(job, events, wall_ms, ckpt_hits, ckpt_misses)`` — the
-      job's wall budget expired, the worker checkpointed it, and it went
-      back to the front of the queue (``job.preemptions`` incremented).
+    * ``on_preempted(job, PoolOutcome)`` — the job's wall budget expired,
+      the worker checkpointed it, and it went back to the front of the
+      queue (``job.preemptions`` incremented); the ``preempted`` outcome
+      carries the slice's cost.
 
     Preemption is active only when the pool has a ``cache_dir`` to hold
     checkpoints; without one, a job past its deadline is killed exactly as
@@ -271,7 +273,6 @@ class WorkerPool:
         max_requeues: int = 2,
         max_preemptions: int = 8,
         preempt_grace_s: float = 10.0,
-        poll_s: float = 0.02,
     ):
         self.workers = max(1, int(workers))
         self.cache_dir = cache_dir
@@ -279,13 +280,10 @@ class WorkerPool:
         self.max_requeues = max(0, int(max_requeues))
         self.max_preemptions = max(0, int(max_preemptions))
         self.preempt_grace_s = max(0.0, float(preempt_grace_s))
-        self.poll_s = max(0.001, float(poll_s))
         self._on_running = on_running or (lambda job, worker: None)
         self._on_outcome = on_outcome or (lambda job, outcome: None)
         self._on_requeue = on_requeue or (lambda job: None)
-        self._on_preempted = on_preempted or (
-            lambda job, events, wall_ms, hits, misses: None
-        )
+        self._on_preempted = on_preempted or (lambda job, outcome: None)
         self._context = _fork_context() or multiprocessing.get_context()
         self._lock = threading.Lock()
         self._queue: deque[Job] = deque()
@@ -471,7 +469,7 @@ class WorkerPool:
                     if handle.job is not None:
                         waitables.append(handle.conn)
             try:
-                ready = multiprocessing.connection.wait(waitables, timeout=self.poll_s)
+                ready = multiprocessing.connection.wait(waitables, timeout=POLL_S)
             except OSError:  # pragma: no cover - fd raced away at respawn
                 ready = []
             if self._wake_r in ready:
@@ -499,54 +497,22 @@ class WorkerPool:
         try:
             if not handle.conn.poll(0):
                 return False
-            payload = handle.conn.recv()
+            reply = handle.conn.recv()
         except (EOFError, OSError):
             return False  # died mid-send; the is_alive() check reaps it
-        if not isinstance(payload, tuple) or len(payload) < 2 or payload[1] != job.id:
+        if not isinstance(reply, tuple) or len(reply) != 2 or reply[0] != job.id:
             return False  # stale or malformed reply: drop it
-        if payload[0] == "ok":
-            (
-                _kind,
-                _job_id,
-                source,
-                result_payload,
-                wall_ms,
-                events,
-                hits,
-                misses,
-                ckpt_hits,
-                ckpt_misses,
-            ) = payload
-            outcome = PoolOutcome(
-                status="ok",
-                source=str(source),
-                result_payload=result_payload,
-                wall_ms=float(wall_ms),
-                sim_events=int(events),
-                trace_cache_hits=int(hits),
-                trace_cache_misses=int(misses),
-                checkpoint_hits=int(ckpt_hits),
-                checkpoint_misses=int(ckpt_misses),
-                worker=handle.index,
-            )
-        elif payload[0] == "preempted":
-            self._preempt(handle, payload)
-            return True
-        else:
-            _kind, _job_id, message, wall_ms = payload
-            outcome = PoolOutcome(
-                status="failed",
-                error=str(message),
-                wall_ms=float(wall_ms),
-                worker=handle.index,
-            )
+        outcome = reply[1]
         handle.job = None
         handle.deadline = None
-        handle.completed += 1
-        self._emit(job, outcome)
+        if outcome.status == "preempted":
+            self._preempt(job, outcome)
+        else:
+            handle.completed += 1
+            self._emit(job, outcome)
         return True
 
-    def _preempt(self, handle: WorkerHandle, payload: tuple) -> None:
+    def _preempt(self, job: Job, outcome: PoolOutcome) -> None:
         """A worker checkpointed its job at the budget: requeue, not kill.
 
         The job goes back to the *front* of the queue so it resumes
@@ -554,15 +520,10 @@ class WorkerPool:
         outcome (the worker stays alive either way).  A cancellation that
         raced the preemption resolves to cancelled here.
         """
-        _kind, _job_id, events, wall_ms, ckpt_hits, ckpt_misses = payload
-        job, handle.job = handle.job, None
-        handle.deadline = None
         job.preemptions += 1
         self._preemptions += 1
         try:
-            self._on_preempted(
-                job, int(events), float(wall_ms), int(ckpt_hits), int(ckpt_misses)
-            )
+            self._on_preempted(job, outcome)
         except Exception:  # pragma: no cover - defensive
             pass
         if job.cancel.is_set():
@@ -571,7 +532,7 @@ class WorkerPool:
                 PoolOutcome(
                     status="cancelled",
                     error="cancelled by request",
-                    worker=handle.index,
+                    worker=outcome.worker,
                 ),
             )
         elif job.preemptions > self.max_preemptions:
@@ -583,7 +544,7 @@ class WorkerPool:
                         f"preempted {job.preemptions} times without finishing "
                         f"({float(job.timeout_s):.3f} s budget per slice)"
                     ),
-                    worker=handle.index,
+                    worker=outcome.worker,
                 ),
             )
         else:

@@ -112,16 +112,12 @@ class ServiceConfig:
     #: How many checkpoint-and-requeue slices a job may consume before it
     #: resolves to TIMEOUT (only meaningful with a cache directory).
     max_preemptions: int = 8
-    #: Safety-net padding past a preemptible job's budget before the
-    #: supervisor falls back to killing the worker.
-    preempt_grace_s: float = 10.0
 
     def __post_init__(self) -> None:
         self.workers = max(1, int(self.workers))
         self.queue_depth = max(1, int(self.queue_depth))
         self.max_requeues = max(0, int(self.max_requeues))
         self.max_preemptions = max(0, int(self.max_preemptions))
-        self.preempt_grace_s = max(0.0, float(self.preempt_grace_s))
         if self.cache_dir is not None:
             self.cache_dir = Path(self.cache_dir)
 
@@ -179,7 +175,6 @@ class SimulationService:
             on_preempted=self._pool_preempted,
             max_requeues=self.config.max_requeues,
             max_preemptions=self.config.max_preemptions,
-            preempt_grace_s=self.config.preempt_grace_s,
         ).start()
         self.started_at = time.monotonic()
 
@@ -257,23 +252,16 @@ class SimulationService:
         """
         if job.state.terminal:
             return False
-        serve = self.stats.group("serve")
         job.cancel.set()
         followers = self._followers.get(job.digest)
         if followers is not None and job in followers:
             followers.remove(job)
-            await self.board.advance(
-                job, JobState.CANCELLED, error="cancelled while queued"
-            )
-            serve.add("cancelled")
+            await self._finish_unpooled(job)
             return True
         if self._inflight.get(job.digest) is job and self._pool is not None:
             if self._pool.cancel(job) == "queued":
                 self._inflight.pop(job.digest, None)
-                await self.board.advance(
-                    job, JobState.CANCELLED, error="cancelled while queued"
-                )
-                serve.add("cancelled")
+                await self._finish_unpooled(job)
                 for follower in self._followers.pop(job.digest, []):
                     self._route(follower)
             # "running": the supervisor kills the worker and reports the
@@ -293,7 +281,7 @@ class SimulationService:
         if job.state.terminal:
             return
         if job.cancel.is_set():
-            self._spawn_task(self._finish_cancelled_early(job))
+            self._spawn_task(self._finish_unpooled(job))
             return
         leader = self._inflight.get(job.digest)
         if leader is not None:
@@ -301,7 +289,7 @@ class SimulationService:
             return
         result, source = self.runner.lookup(job.spec)
         if result is not None:
-            self._spawn_task(self._finish_cached(job, result, source))
+            self._spawn_task(self._finish_unpooled(job, result, source))
             return
         if self._pool is None:
             self._spawn_task(
@@ -321,28 +309,21 @@ class SimulationService:
         """Run a completion coroutine as a task on the serving loop."""
         asyncio.get_running_loop().create_task(coroutine)
 
-    async def _finish_cancelled_early(self, job: Job) -> None:
-        """Record a job cancelled before it ever reached a worker."""
+    async def _finish_unpooled(
+        self, job: Job, result=None, source: str | None = None
+    ) -> None:
+        """End a job no worker runs: a cache hit, a follower or an early cancel.
+
+        A coalesced follower takes its leader's result; a job cancelled
+        before a worker took it has none.  The job ends CANCELLED when
+        cancel was requested or there is no ``result``; otherwise it goes
+        RUNNING, then DONE from ``source``, counting ``completed`` and
+        ``hits_<source>``.
+        """
         if job.state.terminal:
             return
-        await self.board.advance(
-            job, JobState.CANCELLED, error="cancelled while queued"
-        )
-        self.stats.group("serve").add("cancelled")
-
-    async def _finish_failed(self, job: Job, error: str) -> None:
-        """Record a job the service could not hand to the pool."""
-        if job.state.terminal:
-            return
-        await self.board.advance(job, JobState.FAILED, error=error)
-        self.stats.group("serve").add("failed")
-
-    async def _finish_cached(self, job: Job, result, source: str) -> None:
-        """Complete a cache hit on the loop (no worker involved)."""
         serve = self.stats.group("serve")
-        if job.state.terminal:
-            return
-        if job.cancel.is_set():
+        if result is None or job.cancel.is_set():
             await self.board.advance(
                 job, JobState.CANCELLED, error="cancelled while queued"
             )
@@ -353,33 +334,47 @@ class SimulationService:
         serve.add("completed")
         serve.add(f"hits_{source}")
 
+    async def _finish_failed(self, job: Job, error: str) -> None:
+        """Record a job the service could not hand to the pool."""
+        if job.state.terminal:
+            return
+        await self.board.advance(job, JobState.FAILED, error=error)
+        self.stats.group("serve").add("failed")
+
+    def _add_slice_cost(self, job: Job, outcome: PoolOutcome) -> None:
+        """Add one slice's wall time and kernel events to the job record.
+
+        A simulated slice (finished or preempted) also adds its events,
+        wall time, trace-cache lookups and checkpoint probes to the
+        service totals, so a long job's progress shows in ``/metrics``
+        while it is still being resumed slice after slice.  A job that is
+        already terminal keeps its record.
+        """
+        if not job.state.terminal:
+            job.wall_ms += outcome.wall_ms
+            job.sim_events += outcome.sim_events
+        if outcome.status == "preempted" or outcome.source == "simulated":
+            self._sim_events_total += outcome.sim_events
+            self._sim_wall_ms_total += outcome.wall_ms
+            self._trace_cache_hits_total += outcome.trace_cache_hits
+            self._trace_cache_misses_total += outcome.trace_cache_misses
+            self._checkpoint_hits_total += outcome.checkpoint_hits
+            self._checkpoint_misses_total += outcome.checkpoint_misses
+
     async def _finish_pooled(self, job: Job, outcome: PoolOutcome) -> None:
         """Record a pool outcome for a leader; resolve its followers."""
         serve = self.stats.group("serve")
         if self._inflight.get(job.digest) is job:
             self._inflight.pop(job.digest, None)
         followers = self._followers.pop(job.digest, [])
+        self._add_slice_cost(job, outcome)
         if outcome.status == "ok":
             result = result_from_jsonable(outcome.result_payload)
             # The worker already persisted the entry; only the in-process
             # memory layer needs feeding here.
             self.runner.memory[job.digest] = result
-            if outcome.source == "simulated":
-                self._sim_events_total += outcome.sim_events
-                self._sim_wall_ms_total += outcome.wall_ms
-                self._trace_cache_hits_total += outcome.trace_cache_hits
-                self._trace_cache_misses_total += outcome.trace_cache_misses
-                self._checkpoint_hits_total += outcome.checkpoint_hits
-                self._checkpoint_misses_total += outcome.checkpoint_misses
-            # Adding onto the job's own counters keeps a preempted job's
-            # record cumulative across its slices (identity for the rest).
             await self.board.advance(
-                job,
-                JobState.DONE,
-                source=outcome.source,
-                result=result,
-                wall_ms=job.wall_ms + outcome.wall_ms,
-                sim_events=job.sim_events + outcome.sim_events,
+                job, JobState.DONE, source=outcome.source, result=result
             )
             serve.add("completed")
             if outcome.source == "simulated":
@@ -387,28 +382,13 @@ class SimulationService:
             else:
                 serve.add(f"hits_{outcome.source}")
             for follower in followers:
-                if follower.state.terminal:
-                    continue
-                if follower.cancel.is_set():
-                    await self.board.advance(
-                        follower, JobState.CANCELLED, error="cancelled while queued"
-                    )
-                    serve.add("cancelled")
-                    continue
-                await self.board.advance(follower, JobState.RUNNING)
-                await self.board.advance(
-                    follower, JobState.DONE, source="coalesced", result=result
-                )
-                serve.add("completed")
-                serve.add("hits_coalesced")
+                await self._finish_unpooled(follower, result, "coalesced")
             return
         state = {
             "timeout": JobState.TIMEOUT,
             "cancelled": JobState.CANCELLED,
         }.get(outcome.status, JobState.FAILED)
-        await self.board.advance(
-            job, state, error=outcome.error, wall_ms=job.wall_ms + outcome.wall_ms
-        )
+        await self.board.advance(job, state, error=outcome.error)
         serve.add(
             {"timeout": "timeouts", "cancelled": "cancelled"}.get(
                 outcome.status, "failed"
@@ -449,30 +429,14 @@ class SimulationService:
         """Pool callback: ``job`` finished (ok/failed/timeout/cancelled)."""
         self._schedule(self._finish_pooled(job, outcome))
 
-    def _pool_preempted(
-        self, job: Job, events: int, wall_ms: float, ckpt_hits: int, ckpt_misses: int
-    ) -> None:
+    def _pool_preempted(self, job: Job, outcome: PoolOutcome) -> None:
         """Pool callback: ``job`` was checkpointed at its budget, requeued."""
-        self._schedule(
-            self._mark_preempted(job, events, wall_ms, ckpt_hits, ckpt_misses)
-        )
+        self._schedule(self._mark_preempted(job, outcome))
 
-    async def _mark_preempted(
-        self, job: Job, events: int, wall_ms: float, ckpt_hits: int, ckpt_misses: int
-    ) -> None:
-        """Record one preemption slice: counters plus the PREEMPTED state.
-
-        The slice's kernel events and wall-clock fold into the simulation
-        totals as they happen, so a long job's progress is visible in
-        ``/metrics`` while it is still being resumed slice after slice.
-        """
+    async def _mark_preempted(self, job: Job, outcome: PoolOutcome) -> None:
+        """Record one preemption slice: its cost plus the PREEMPTED state."""
         self.stats.group("serve").add("preempted")
-        self._sim_events_total += events
-        self._sim_wall_ms_total += wall_ms
-        self._checkpoint_hits_total += ckpt_hits
-        self._checkpoint_misses_total += ckpt_misses
-        job.sim_events += events
-        job.wall_ms += wall_ms
+        self._add_slice_cost(job, outcome)
         await self.board.advance(job, JobState.PREEMPTED)
 
     # -- observability -------------------------------------------------------

@@ -149,7 +149,7 @@ class TestResultCache:
         # ... and the damaged entry was repaired by the re-run.
         runner.clear_cache()
         runner.cached_run("astar", ProtectionLevel.UNPROTECTED, **FAST)
-        assert runner.runtime_stats()["runner.disk_hits"] == 1
+        assert runner.runtime_stats()["executor.disk_hits"] == 1
 
     def test_clear_removes_entries(self, tmp_path):
         spec = _spec()

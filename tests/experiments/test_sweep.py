@@ -471,6 +471,17 @@ class TestRunSweep:
         assert run.plan.warm_starts_planned == 1
         assert run.manifest.checkpoint_hits == run.plan.warm_starts_planned
 
+    def test_a_repeated_spec_is_not_its_own_warm_start(self, tmp_path):
+        a, b = (JobSpec("astar", "obfusmem", None, n, SEED) for n in (200, 400))
+        twins = run_sweep([a, a], checkpoints=CheckpointStore(tmp_path / "twins"))
+        assert twins.plan.warm_starts_planned == 0
+        assert twins.manifest.checkpoint_hits == twins.plan.warm_starts_planned
+        assert not list((tmp_path / "twins").glob("ckpt-*.json"))
+        # A longer member still forks: one of the twins seeds it.
+        run = run_sweep([a, a, b], checkpoints=CheckpointStore(tmp_path / "seeded"))
+        assert run.plan.warm_starts_planned == 1
+        assert run.manifest.checkpoint_hits == run.plan.warm_starts_planned
+
 
 class TestCli:
     def _spec_file(self, tmp_path, payload=None):

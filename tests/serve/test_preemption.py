@@ -33,9 +33,17 @@ class PreemptProbe(PoolProbe):
         super().__init__()
         self.preempted = []
 
-    def on_preempted(self, job, events, wall_ms, ckpt_hits, ckpt_misses):
+    def on_preempted(self, job, outcome):
         with self._changed:
-            self.preempted.append((job.id, events, wall_ms, ckpt_hits, ckpt_misses))
+            self.preempted.append(
+                (
+                    job.id,
+                    outcome.sim_events,
+                    outcome.wall_ms,
+                    outcome.checkpoint_hits,
+                    outcome.checkpoint_misses,
+                )
+            )
             self._changed.notify_all()
 
 
@@ -171,6 +179,9 @@ class TestServicePreemption:
                 assert metrics["checkpoint_hits"] >= 1
                 assert metrics["checkpoint_misses"] >= 1
                 assert 0.0 < metrics["checkpoint_hit_ratio"] < 1.0
+                # Preempted slices' trace lookups count too: the first
+                # slice built the trace, so at least one lookup happened.
+                assert metrics["trace_cache_hits"] + metrics["trace_cache_misses"] >= 1
                 assert metrics["counters"]["serve.preempted"] == job.preemptions
                 assert metrics["worker_kills"] == 0
             finally:
